@@ -11,7 +11,6 @@ from .core import (
     WavepacketSpec,
     build_grid,
     classical_tof,
-    clock_resolution,
     init_clock_hand,
     init_gaussian,
     modular_phase,
@@ -19,7 +18,6 @@ from .core import (
     validate_regime,
 )
 from .propagators import (
-    channel_potential,
     coupling_phase_step,
     evolve_continuous,
     evolve_kicked,

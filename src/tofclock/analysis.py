@@ -210,12 +210,12 @@ class TransmissionReport:
 def transmission_report(
     state: ChannelState, region: RegionSpec
 ) -> TransmissionReport:
-    x = state.grid.x
+    inner = state.grid.region_slice(region)
     dx = state.grid.dx
     p = np.abs(state.amplitudes) ** 2
-    left = p[:, x < region.x_left].sum(axis=1) * dx
-    inside = p[:, (x >= region.x_left) & (x <= region.x_right)].sum(axis=1) * dx
-    right = p[:, x > region.x_right].sum(axis=1) * dx
+    left = p[:, :inner.start].sum(axis=1) * dx
+    inside = p[:, inner].sum(axis=1) * dx
+    right = p[:, inner.stop:].sum(axis=1) * dx
     return TransmissionReport(
         modes=state.clock.modes.copy(), left=left, inside=inside, right=right
     )

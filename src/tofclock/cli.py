@@ -21,7 +21,7 @@ from . import analysis
 from .config_io import ConfigError, emit_config, load_config
 from .core import ExperimentConfig, RegimeReport, validate_regime
 from .presets import IMPLEMENTATION_CHOICE_NOTE, get_preset, preset_names
-from .propagators import run_experiment
+from .propagators import PropagationError, run_experiment
 
 DEFAULT_THETA_POINTS = 1024
 
@@ -125,11 +125,10 @@ def cmd_run(
         series = analysis.state_tof_distribution(
             result.final_state, theta_points, label=label or config.mode
         )
-        for name in ("tof_density.csv", "tof_cdf.csv"):
-            _write_csv(out_dir / name, ["t", "density", "cdf"],
-                       [series.times, series.density, series.cdf])
-            data_files.append(name)
-            manifest.append((f"mass.{name}", f"{series.total_mass:.17g}"))
+        _write_csv(out_dir / "tof_density.csv", ["t", "density", "cdf"],
+                   [series.times, series.density, series.cdf])
+        data_files.append("tof_density.csv")
+        manifest.append(("mass.tof_density.csv", f"{series.total_mass:.17g}"))
         trans = analysis.transmission_report(result.final_state, config.region)
         manifest += [
             ("diag.norm_drift", f"{result.norm_drift:.17g}"),
@@ -269,6 +268,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PropagationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -4,44 +4,39 @@ grouped into sections.  The emitted form round-trips through load_config."""
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
-import math
+import types
+import typing
 
-from .core import (
-    ClockSpec,
-    ExperimentConfig,
-    PhysicalConfig,
-    RegionSpec,
-    SpatialGrid,
-    WavepacketSpec,
-)
+from .core import ExperimentConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-# (section, key) -> (type, required, default)
-_SCHEMA: dict[str, dict[str, tuple[type, bool]]] = {
-    "run": {
-        "mode": (str, True),
-        "placement": (str, False),
-        "t_final": (float, True),
-        "dt": (float, False),
-        "kick_period": (float, False),
-        "kick_at_zero": (bool, False),
-        "neg_momentum_threshold": (float, False),
-        "dominance_factor": (float, False),
-        "region_mass_tol": (float, False),
-        "boundary_mass_tol": (float, False),
-        "snapshots": (int, False),
-    },
-    "physical": {"mass": (float, False), "hbar": (float, False)},
-    "clock": {"omega": (float, True), "j": (int, True)},
-    "packet": {"sigma": (float, True), "x0": (float, True), "p0": (float, True)},
-    "region": {"x_left": (float, True), "x_right": (float, True)},
-    "grid": {"x_min": (float, True), "x_max": (float, True),
-             "num_points": (int, True)},
+def _keys(cls) -> dict[str, tuple[type, bool]]:
+    """key -> (type, required) for each field of a dataclass; a field is
+    required when it has no default, and `T | None` reads as T."""
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        typ = hints[f.name]
+        if isinstance(typ, types.UnionType):
+            typ = next(a for a in typing.get_args(typ) if a is not type(None))
+        required = (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+        keys[f.name] = (typ, required)
+    return keys
+
+
+# one section per nested spec of ExperimentConfig; [run] holds its scalar fields
+_FIELDS = _keys(ExperimentConfig)
+_SPECS = {name: typ for name, (typ, _) in _FIELDS.items() if dataclasses.is_dataclass(typ)}
+_SCHEMA = {
+    "run": {k: v for k, v in _FIELDS.items() if k not in _SPECS},
+    **{name: _keys(cls) for name, cls in _SPECS.items()},
 }
 
 
@@ -84,32 +79,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             if required and key not in values.get(section, {}):
                 raise ConfigError(f"missing mandatory key [{section}] {key}")
 
-    run = values.get("run", {})
-    phys = values.get("physical", {})
-    kwargs = dict(
-        physical=PhysicalConfig(
-            m=phys.get("mass", 1.0), hbar=phys.get("hbar", 1.0)
-        ),
-        region=RegionSpec(values["region"]["x_left"], values["region"]["x_right"]),
-        clock=ClockSpec(values["clock"]["omega"], values["clock"]["j"]),
-        packet=WavepacketSpec(
-            values["packet"]["sigma"], values["packet"]["x0"],
-            values["packet"]["p0"],
-        ),
-        grid=SpatialGrid(
-            values["grid"]["x_min"], values["grid"]["x_max"],
-            values["grid"]["num_points"],
-        ),
-        mode=run["mode"],
-        t_final=run["t_final"],
-    )
-    for key in ("placement", "dt", "kick_period", "kick_at_zero",
-                "neg_momentum_threshold", "dominance_factor",
-                "region_mass_tol", "boundary_mass_tol", "snapshots"):
-        if key in run:
-            kwargs[key] = run[key]
     try:
-        return ExperimentConfig(**kwargs)
+        specs = {name: cls(**values.get(name, {})) for name, cls in _SPECS.items()}
+        return ExperimentConfig(**specs, **values.get("run", {}))
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -134,43 +106,12 @@ def _fmt(value) -> str:
 def emit_config(config: ExperimentConfig) -> str:
     """Serialize a config so that load_config reproduces it exactly."""
     out = io.StringIO()
-
-    def section(name, pairs):
-        out.write(f"[{name}]\n")
-        for key, value in pairs:
-            if value is None:
-                continue
-            out.write(f"{key} = {_fmt(value)}\n")
+    for section, keys in _SCHEMA.items():
+        source = config if section == "run" else getattr(config, section)
+        out.write(f"[{section}]\n")
+        for key in keys:
+            value = getattr(source, key)
+            if value is not None:
+                out.write(f"{key} = {_fmt(value)}\n")
         out.write("\n")
-
-    section("run", [
-        ("mode", config.mode),
-        ("placement", config.placement),
-        ("t_final", config.t_final),
-        ("dt", config.dt),
-        ("kick_period", config.kick_period),
-        ("kick_at_zero", config.kick_at_zero),
-        ("neg_momentum_threshold", config.neg_momentum_threshold),
-        ("dominance_factor", config.dominance_factor),
-        ("region_mass_tol", config.region_mass_tol),
-        ("boundary_mass_tol", config.boundary_mass_tol),
-        ("snapshots", config.snapshots),
-    ])
-    section("physical", [
-        ("mass", config.physical.m), ("hbar", config.physical.hbar),
-    ])
-    section("clock", [
-        ("omega", config.clock.omega), ("j", config.clock.j),
-    ])
-    section("packet", [
-        ("sigma", config.packet.sigma), ("x0", config.packet.x0),
-        ("p0", config.packet.p0),
-    ])
-    section("region", [
-        ("x_left", config.region.x_left), ("x_right", config.region.x_right),
-    ])
-    section("grid", [
-        ("x_min", config.grid.x_min), ("x_max", config.grid.x_max),
-        ("num_points", config.grid.num_points),
-    ])
     return out.getvalue()

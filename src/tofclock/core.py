@@ -148,6 +148,12 @@ class SpatialGrid:
         """Grid points belonging to the coupling region (closed interval)."""
         return (self.x >= region.x_left) & (self.x <= region.x_right)
 
+    def region_slice(self, region: RegionSpec) -> slice:
+        """The grid points of `region_mask` as one contiguous slice."""
+        lo = int(np.searchsorted(self.x, region.x_left, side="left"))
+        hi = int(np.searchsorted(self.x, region.x_right, side="right"))
+        return slice(lo, hi)
+
 
 def build_grid(x_min: float, x_max: float, num_points: int) -> SpatialGrid:
     return SpatialGrid(x_min, x_max, num_points)
@@ -180,8 +186,8 @@ class ChannelState:
         return float(np.sum(np.abs(self.amplitudes) ** 2)) * self.grid.dx
 
     def region_mass(self, region: RegionSpec) -> float:
-        mask = self.grid.region_mask(region)
-        return float(np.sum(np.abs(self.amplitudes[:, mask]) ** 2)) * self.grid.dx
+        inside = self.amplitudes[:, self.grid.region_slice(region)]
+        return float(np.sum(np.abs(inside) ** 2)) * self.grid.dx
 
     def boundary_mass(self, fraction: float = 0.01) -> float:
         """Mass in the outermost `fraction` of the grid at each edge."""
@@ -245,10 +251,6 @@ def classical_tof(d: float, p: float, m: float) -> float:
     if p <= 0:
         raise ValueError(f"momentum must be positive, got {p}")
     return m * d / p
-
-
-def clock_resolution(clock: ClockSpec) -> float:
-    return clock.tau
 
 
 def modular_phase(

@@ -20,6 +20,7 @@ from .core import (
     ClockSpec,
     ExperimentConfig,
     RegionSpec,
+    SpatialGrid,
     init_gaussian,
     product_state,
     validate_regime,
@@ -43,21 +44,24 @@ class CollisionUnfinishedError(PropagationError):
     """Region occupancy still above tolerance at t_final."""
 
 
-@dataclass(frozen=True)
-class ChannelPotential:
-    """Rectangular barrier (n > 0) or well (n < 0) seen by channel n."""
-
-    n: int
-    height: float
-    region: RegionSpec
+def _kinetic_propagator(grid: SpatialGrid, dt: float, m: float, hbar: float) -> np.ndarray:
+    return np.exp(-0.5j * hbar * grid.k**2 * dt / m)
 
 
-def channel_potential(
-    n: int, clock: ClockSpec, region: RegionSpec, hbar: float = 1.0
-) -> ChannelPotential:
-    if abs(n) > clock.j:
-        raise ValueError(f"|n|={abs(n)} exceeds clock half-width j={clock.j}")
-    return ChannelPotential(n=n, height=n * hbar * clock.omega, region=region)
+def _coupling_phases(clock: ClockSpec, duration: float) -> np.ndarray:
+    return np.exp(-1j * clock.modes * clock.omega * duration)[:, None]
+
+
+def _free_flight(amps: np.ndarray, propagator: np.ndarray, workers: int) -> np.ndarray:
+    """Exact free flight of every channel, in place where scipy allows it;
+    use the returned array."""
+    amps = sfft.fft(amps, axis=-1, workers=workers, overwrite_x=True)
+    amps *= propagator
+    return sfft.ifft(amps, axis=-1, workers=workers, overwrite_x=True)
+
+
+def _couple(amps: np.ndarray, phases: np.ndarray, region: slice) -> None:
+    amps[:, region] *= phases
 
 
 def kinetic_step(
@@ -68,12 +72,9 @@ def kinetic_step(
     workers: int = 1,
 ) -> ChannelState:
     """Exact free flight for duration dt, channel by channel in Fourier space."""
-    if dt == 0:
-        return state.copy()
-    phase = np.exp(-0.5j * hbar * state.grid.k**2 * dt / m)
-    amps = sfft.fft(state.amplitudes, axis=-1, workers=workers)
-    amps *= phase
-    amps = sfft.ifft(amps, axis=-1, workers=workers)
+    amps = state.amplitudes.copy()
+    if dt != 0:
+        amps = _free_flight(amps, _kinetic_propagator(state.grid, dt, m, hbar), workers)
     return ChannelState(state.clock, state.grid, amps)
 
 
@@ -83,10 +84,8 @@ def coupling_phase_step(
     """Coupling applied for `duration`: channel n picks up exp(-i n omega dur)
     on grid points inside the region; elsewhere nothing happens.  Per-channel
     norms are exactly preserved (pure phase)."""
-    mask = state.grid.region_mask(region)
-    phases = np.exp(-1j * state.clock.modes * state.clock.omega * duration)
     amps = state.amplitudes.copy()
-    amps[:, mask] *= phases[:, None]
+    _couple(amps, _coupling_phases(state.clock, duration), state.grid.region_slice(region))
     return ChannelState(state.clock, state.grid, amps)
 
 
@@ -126,6 +125,47 @@ def _check_guards(config: ExperimentConfig, state: ChannelState, t: float) -> Di
     return sample
 
 
+def _run_schedule(
+    config: ExperimentConfig,
+    initial_state: ChannelState | None,
+    first_phase: float,
+    segments: list[tuple[float, float]],
+    check_every: int,
+    workers: int,
+) -> Trajectory:
+    """The one time loop of both engines.
+
+    Applies the coupling for `first_phase`, then for each (flight, phase)
+    segment an exact free flight of duration `flight` followed by the
+    coupling accrued over `phase` (none when it is 0).  Guards run on the
+    initial state, every `check_every` segments and after the last one.
+    """
+    state = (initial_state if initial_state is not None else _initial_state(config)).copy()
+    grid, clock = config.grid, config.clock
+    region = grid.region_slice(config.region)
+    flights = {
+        flight: _kinetic_propagator(grid, flight, config.physical.m, config.physical.hbar)
+        for flight in {flight for flight, _ in segments}
+    }
+    phases = {
+        phase: _coupling_phases(clock, phase)
+        for phase in {first_phase, *(phase for _, phase in segments)} if phase
+    }
+
+    diagnostics = [_check_guards(config, state, 0.0)]
+    if first_phase:
+        _couple(state.amplitudes, phases[first_phase], region)
+    t = 0.0
+    for i, (flight, phase) in enumerate(segments, start=1):
+        state.amplitudes = _free_flight(state.amplitudes, flights[flight], workers)
+        if phase:
+            _couple(state.amplitudes, phases[phase], region)
+        t += flight
+        if i % check_every == 0 or i == len(segments):
+            diagnostics.append(_check_guards(config, state, t))
+    return Trajectory(final_state=state, diagnostics=diagnostics)
+
+
 def evolve_continuous(
     config: ExperimentConfig,
     initial_state: ChannelState | None = None,
@@ -135,38 +175,16 @@ def evolve_continuous(
 
     Per step of size dt: half coupling phase, exact kinetic step, half
     coupling phase; second order in dt.  Adjacent half phases between steps
-    are merged into full phases.
+    are merged into full phases, so this is a kicked schedule with T = dt
+    and half kicks at both ends.
     """
-    state = initial_state.copy() if initial_state is not None else _initial_state(config)
-    m, hbar = config.physical.m, config.physical.hbar
-    grid, clock, region = config.grid, config.clock, config.region
-
     n_steps = max(1, math.ceil(config.t_final / config.dt - 1e-12))
     dt = config.t_final / n_steps
-
-    mask = grid.region_mask(region)
-    half = np.exp(-0.5j * clock.modes * clock.omega * dt)[:, None]
-    full = half * half
-    kin = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
-
+    # mid-run guard samples carry the next step's leading half phase, which
+    # does not affect any of the |.|^2 diagnostics
+    segments = [(dt, dt)] * (n_steps - 1) + [(dt, 0.5 * dt)]
     check_every = max(1, n_steps // max(1, config.snapshots))
-    diagnostics = [_check_guards(config, state, 0.0)]
-
-    amps = state.amplitudes.copy()
-    amps[:, mask] *= half
-    for step in range(1, n_steps + 1):
-        amps = sfft.fft(amps, axis=-1, workers=workers)
-        amps *= kin
-        amps = sfft.ifft(amps, axis=-1, workers=workers)
-        last = step == n_steps
-        amps[:, mask] *= half if last else full
-        if last or step % check_every == 0:
-            # mid-run samples carry the next step's leading half phase, which
-            # does not affect any of the |.|^2 diagnostics
-            probe = ChannelState(clock, grid, amps)
-            diagnostics.append(_check_guards(config, probe, step * dt))
-    state = ChannelState(clock, grid, amps)
-    return Trajectory(final_state=state, diagnostics=diagnostics)
+    return _run_schedule(config, initial_state, 0.5 * dt, segments, check_every, workers)
 
 
 def evolve_kicked(
@@ -183,22 +201,13 @@ def evolve_kicked(
     schedule = config.kick_schedule
     if schedule is None:
         raise ValueError("kicked evolution requires a kick schedule")
-    state = initial_state.copy() if initial_state is not None else _initial_state(config)
-    m, hbar = config.physical.m, config.physical.hbar
     T = schedule.period
-
-    diagnostics = [_check_guards(config, state, 0.0)]
-    if config.kick_at_zero:
-        state = coupling_phase_step(state, T, config.region)
-    for k in range(1, schedule.n_kicks + 1):
-        state = kinetic_step(state, T, m, hbar, workers)
-        state = coupling_phase_step(state, T, config.region)
-        diagnostics.append(_check_guards(config, state, k * T))
+    segments = [(T, T)] * schedule.n_kicks
     remainder = config.t_final - schedule.n_kicks * T
     if remainder > 1e-12 * config.t_final:
-        state = kinetic_step(state, remainder, m, hbar, workers)
-        diagnostics.append(_check_guards(config, state, config.t_final))
-    return Trajectory(final_state=state, diagnostics=diagnostics)
+        segments.append((remainder, 0.0))
+    first_phase = T if config.kick_at_zero else 0.0
+    return _run_schedule(config, initial_state, first_phase, segments, 1, workers)
 
 
 @dataclass

@@ -150,8 +150,8 @@ class TestRegimeText:
 class TestCmdRun:
     def test_outputs(self, tmp_path):
         out = cmd_run(_small_config(), tmp_path / "run", label="small")
-        for name in ("tof_density.csv", "tof_cdf.csv", "config.txt",
-                     "regime.txt", "manifest.txt"):
+        for name in ("tof_density.csv", "config.txt", "regime.txt",
+                     "manifest.txt"):
             assert (out / name).exists()
         data = np.loadtxt(out / "tof_density.csv", delimiter=",", skiprows=1)
         assert data.shape == (1025, 3)
@@ -190,7 +190,7 @@ class TestCmdRun:
         cfg = _small_config()
         a = cmd_run(cfg, tmp_path / "a")
         b = cmd_run(cfg, tmp_path / "b")
-        for name in ("tof_density.csv", "tof_cdf.csv", "config.txt", "regime.txt"):
+        for name in ("tof_density.csv", "config.txt", "regime.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -247,6 +247,15 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "manifest.txt").exists()
+
+    def test_failed_propagation_exits_one(self, tmp_path, capsys):
+        # boundary mass reaches ~2e-6 at t = 2.5 on this config
+        path = tmp_path / "leak.cfg"
+        path.write_text(emit_config(_small_config(boundary_mass_tol=1e-6)),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: boundary occupancy" in capsys.readouterr().err
 
     def test_unknown_preset_exits_nonzero(self, capsys):
         assert main(["validate", "--preset", "nope"]) == 2

@@ -42,11 +42,11 @@ class TestSpecs:
 
     def test_clock_resolution_values(self):
         # [TRIVIAL] j=0, omega=2*pi: single tick spans the whole period
-        assert tc.clock_resolution(tc.ClockSpec(2.0 * math.pi, 0)) == pytest.approx(1.0)
+        assert tc.ClockSpec(2.0 * math.pi, 0).tau == pytest.approx(1.0)
         # [DERIVED] 2*pi / (101 * 2*pi/25) = 25/101
-        assert tc.clock_resolution(
-            tc.ClockSpec(2.0 * math.pi / 25.0, 50)
-        ) == pytest.approx(25.0 / 101.0, rel=1e-14)
+        assert tc.ClockSpec(2.0 * math.pi / 25.0, 50).tau == pytest.approx(
+            25.0 / 101.0, rel=1e-14
+        )
 
     def test_clock_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -98,6 +98,18 @@ class TestGrid:
         grid = tc.build_grid(0.0, 8.0, 8)  # x = 0, 1, ..., 7
         mask = grid.region_mask(tc.RegionSpec(2.0, 5.0))
         np.testing.assert_array_equal(np.nonzero(mask)[0], [2, 3, 4, 5])
+        # region_slice selects exactly the mask's points: edges on grid
+        # points, between grid points, the whole grid, and no grid point
+        for left, right, expected in [(2.0, 5.0, [2, 3, 4, 5]),
+                                      (1.5, 5.5, [2, 3, 4, 5]),
+                                      (0.0, 7.0, list(range(8))),
+                                      (2.2, 2.8, [])]:
+            region = tc.RegionSpec(left, right)
+            points = np.arange(8)[grid.region_slice(region)]
+            np.testing.assert_array_equal(points, expected)
+            np.testing.assert_array_equal(
+                points, np.nonzero(grid.region_mask(region))[0]
+            )
 
 
 class TestInitialState:

@@ -10,7 +10,6 @@ from tofclock.propagators import (
     BoundaryLeakError,
     CollisionUnfinishedError,
     NormDriftError,
-    channel_potential,
     coupling_phase_step,
     evolve_continuous,
     evolve_kicked,
@@ -42,19 +41,6 @@ def _free_state(clock=None, grid=None, spec=None):
     spec = spec or tc.WavepacketSpec(1.0, -15.0, 5.0)
     psi = tc.init_gaussian(spec, grid)
     return tc.product_state(psi, clock, grid), spec, grid
-
-
-class TestChannelPotential:
-    def test_heights(self):
-        clock = tc.ClockSpec(0.25, 4)
-        region = tc.RegionSpec(-1.0, 1.0)
-        assert channel_potential(0, clock, region).height == 0.0
-        assert channel_potential(3, clock, region).height == pytest.approx(0.75)
-        assert channel_potential(-4, clock, region).height == pytest.approx(-1.0)
-
-    def test_rejects_out_of_range_mode(self):
-        with pytest.raises(ValueError):
-            channel_potential(5, tc.ClockSpec(0.25, 4), tc.RegionSpec(-1.0, 1.0))
 
 
 class TestKineticStep:
@@ -243,6 +229,45 @@ class TestKickedEvolution:
             dists.append(analysis.distribution_distance(ref, ser)[0])
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 0.25 * dists[0]
+
+
+class TestScheduleLoop:
+    def test_kicked_equals_public_operator_composition(self):
+        # kick at zero, 7 kicks and a remainder flight: every segment kind
+        cfg = _config(mode="kicked", kick_period=0.7, kick_at_zero=True)
+        T, n = cfg.kick_period, cfg.kick_schedule.n_kicks
+        state, _, _ = _free_state()
+        state = coupling_phase_step(state, T, cfg.region)
+        for _ in range(n):
+            state = coupling_phase_step(kinetic_step(state, T), T, cfg.region)
+        state = kinetic_step(state, cfg.t_final - n * T)
+        traj = evolve_kicked(cfg)
+        np.testing.assert_array_equal(traj.final_state.amplitudes, state.amplitudes)
+
+    def test_continuous_equals_strang_composition(self):
+        cfg = _config()
+        n_steps = math.ceil(cfg.t_final / cfg.dt - 1e-12)
+        dt = cfg.t_final / n_steps
+        state, _, _ = _free_state()
+        for _ in range(n_steps):
+            state = coupling_phase_step(state, 0.5 * dt, cfg.region)
+            state = kinetic_step(state, dt)
+            state = coupling_phase_step(state, 0.5 * dt, cfg.region)
+        traj = evolve_continuous(cfg)
+        np.testing.assert_allclose(
+            traj.final_state.amplitudes, state.amplitudes, rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("engine, overrides", [
+        (evolve_continuous, {}),
+        (evolve_kicked, dict(mode="kicked", kick_period=0.7, kick_at_zero=True)),
+    ])
+    def test_initial_state_not_mutated(self, engine, overrides):
+        state, _, _ = _free_state()
+        before = state.amplitudes.copy()
+        traj = engine(_config(**overrides), initial_state=state)
+        np.testing.assert_array_equal(state.amplitudes, before)
+        assert not np.shares_memory(traj.final_state.amplitudes, state.amplitudes)
 
 
 class TestRunExperiment:
