@@ -21,7 +21,7 @@ from . import analysis
 from .config_io import ConfigError, emit_config, load_config
 from .core import ExperimentConfig, RegimeReport, validate_regime
 from .presets import IMPLEMENTATION_CHOICE_NOTE, get_preset, preset_names
-from .propagators import PropagationError, run_experiment
+from .propagators import PropagationError, resolve_workers, run_experiment
 
 DEFAULT_THETA_POINTS = 1024
 
@@ -96,10 +96,11 @@ def _sha256(path: Path) -> str:
 def cmd_run(
     config: ExperimentConfig,
     out_dir: Path,
-    workers: int = 1,
+    workers: int | None = None,
     theta_points: int = DEFAULT_THETA_POINTS,
     label: str = "",
 ) -> Path:
+    workers = resolve_workers(workers)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(config, workers=workers, theta_points=theta_points)
@@ -233,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one experiment")
     add_config_args(run)
     run.add_argument("--out", type=Path, default=Path("tofclock_run"))
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, default=None,
+                     help="clock-channel blocks propagated in parallel "
+                     "(default: every available core); outputs do not depend on it")
     run.add_argument("--theta-points", type=int, default=DEFAULT_THETA_POINTS)
     run.add_argument("--kick-at-zero", action="store_true",
                      help="also kick at t = 0 (kicked mode)")

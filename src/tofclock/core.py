@@ -144,6 +144,12 @@ class SpatialGrid:
     def k(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.fftfreq(self.num_points, d=self.dx)
 
+    @property
+    def edge_points(self) -> int:
+        """Points in the outermost 1 % of the grid at each edge (at least one),
+        where amplitude that wraps around the periodic grid shows up."""
+        return max(1, round(0.01 * self.num_points))
+
     def region_mask(self, region: RegionSpec) -> np.ndarray:
         """Grid points belonging to the coupling region (closed interval)."""
         return (self.x >= region.x_left) & (self.x <= region.x_right)
@@ -189,9 +195,9 @@ class ChannelState:
         inside = self.amplitudes[:, self.grid.region_slice(region)]
         return float(np.sum(np.abs(inside) ** 2)) * self.grid.dx
 
-    def boundary_mass(self, fraction: float = 0.01) -> float:
-        """Mass in the outermost `fraction` of the grid at each edge."""
-        n_edge = max(1, int(round(fraction * self.grid.num_points)))
+    def boundary_mass(self) -> float:
+        """Mass in the `SpatialGrid.edge_points` at each edge of the grid."""
+        n_edge = self.grid.edge_points
         a = self.amplitudes
         edge = np.sum(np.abs(a[:, :n_edge]) ** 2) + np.sum(np.abs(a[:, -n_edge:]) ** 2)
         return float(edge) * self.grid.dx

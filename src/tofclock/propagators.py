@@ -9,7 +9,10 @@ acts channel-by-channel on the (N, num_points) amplitude array.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time as _time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +55,12 @@ def _coupling_phases(clock: ClockSpec, duration: float) -> np.ndarray:
     return np.exp(-1j * clock.modes * clock.omega * duration)[:, None]
 
 
-def _free_flight(amps: np.ndarray, propagator: np.ndarray, workers: int) -> np.ndarray:
+def _free_flight(amps: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     """Exact free flight of every channel, in place where scipy allows it;
     use the returned array."""
-    amps = sfft.fft(amps, axis=-1, workers=workers, overwrite_x=True)
+    amps = sfft.fft(amps, axis=-1, overwrite_x=True)
     amps *= propagator
-    return sfft.ifft(amps, axis=-1, workers=workers, overwrite_x=True)
+    return sfft.ifft(amps, axis=-1, overwrite_x=True)
 
 
 def _couple(amps: np.ndarray, phases: np.ndarray, region: slice) -> None:
@@ -69,12 +72,11 @@ def kinetic_step(
     dt: float,
     m: float = 1.0,
     hbar: float = 1.0,
-    workers: int = 1,
 ) -> ChannelState:
     """Exact free flight for duration dt, channel by channel in Fourier space."""
     amps = state.amplitudes.copy()
     if dt != 0:
-        amps = _free_flight(amps, _kinetic_propagator(state.grid, dt, m, hbar), workers)
+        amps = _free_flight(amps, _kinetic_propagator(state.grid, dt, m, hbar))
     return ChannelState(state.clock, state.grid, amps)
 
 
@@ -108,16 +110,46 @@ def _initial_state(config: ExperimentConfig) -> ChannelState:
     return product_state(psi, config.clock, config.grid)
 
 
-def _check_guards(config: ExperimentConfig, state: ChannelState, t: float) -> DiagnosticSample:
-    norm = state.norm()
-    sample = DiagnosticSample(
+# a state of fewer amplitudes runs serially: split over two threads, a
+# 17 x 512 state ran slower than on one
+_MIN_BLOCK_VALUES = 2**16
+_NORM_TOL = 1e-8
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Number of channel blocks to propagate in parallel: `workers`, or
+    every core this process may run on when it is None."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def _row_sums(amps: np.ndarray, region: slice, n_edge: int) -> np.ndarray:
+    """Per-channel sums of |psi|^2 over the whole grid, the region and the
+    left and right edges: a (4, channels) array, built without temporaries."""
+    f = amps.view(np.float64)  # real and imaginary parts interleaved
+    parts = (f, f[:, 2 * region.start:2 * region.stop], f[:, :2 * n_edge], f[:, -2 * n_edge:])
+    return np.array([np.einsum("ij,ij->i", part, part) for part in parts])
+
+
+def _sample(t: float, sums: np.ndarray, dx: float) -> DiagnosticSample:
+    total, inside, left, right = sums.sum(axis=1)
+    return DiagnosticSample(
         t=t,
-        norm=norm,
-        region_mass=state.region_mass(config.region),
-        boundary_mass=state.boundary_mass(),
+        norm=float(total) * dx,
+        region_mass=float(inside) * dx,
+        boundary_mass=float(left + right) * dx,
     )
-    if abs(norm - 1.0) > 1e-8:
-        raise NormDriftError(f"norm drift {norm - 1.0:.3e} at t={t:.6g}")
+
+
+def _check_guards(config: ExperimentConfig, sample: DiagnosticSample) -> DiagnosticSample:
+    t = sample.t
+    if abs(sample.norm - 1.0) > _NORM_TOL:
+        raise NormDriftError(f"norm drift {sample.norm - 1.0:.3e} at t={t:.6g}")
     if sample.boundary_mass > config.boundary_mass_tol:
         raise BoundaryLeakError(
             f"boundary occupancy {sample.boundary_mass:.3e} at t={t:.6g}"
@@ -131,7 +163,7 @@ def _run_schedule(
     first_phase: float,
     segments: list[tuple[float, float]],
     check_every: int,
-    workers: int,
+    workers: int | None,
 ) -> Trajectory:
     """The one time loop of both engines.
 
@@ -139,37 +171,96 @@ def _run_schedule(
     segment an exact free flight of duration `flight` followed by the
     coupling accrued over `phase` (none when it is 0).  Guards run on the
     initial state, every `check_every` segments and after the last one.
+
+    The channels never mix, so the rows are split into up to `workers`
+    contiguous blocks (views of one array), each carried through the whole
+    schedule by its own thread; a small state stays in one block.  Blocks
+    record per-row sums at every guard check; these are reduced in row
+    order afterwards, so neither the diagnostics nor the amplitudes depend
+    on the number of blocks.
     """
     state = (initial_state if initial_state is not None else _initial_state(config)).copy()
     grid, clock = config.grid, config.clock
-    region = grid.region_slice(config.region)
+    region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
+    # at least two rows a block: einsum sums a lone row in buffer-sized
+    # chunks, so its guard sums would depend on the split
+    k = max(1, min(resolve_workers(workers), clock.n_modes // 2,
+                   state.amplitudes.size // _MIN_BLOCK_VALUES))
+    blocks = np.array_split(state.amplitudes, k)
     flights = {
         flight: _kinetic_propagator(grid, flight, config.physical.m, config.physical.hbar)
         for flight in {flight for flight, _ in segments}
     }
     phases = {
-        phase: _coupling_phases(clock, phase)
+        phase: np.array_split(_coupling_phases(clock, phase), k)
         for phase in {first_phase, *(phase for _, phase in segments)} if phase
     }
+    # A block stops once its own rows exceed the boundary tolerance, which
+    # all rows together then exceed too; the margin covers the block's sum
+    # being rounded apart from the total.  A block holding every row stops
+    # exactly where the guards fail, norm included.
+    boundary_limit = config.boundary_mass_tol * (1.0 if k == 1 else 1.0 + 1e-9)
+    first_failure = [math.inf]  # index of the first guard check a block failed
+    failure_lock = threading.Lock()
 
-    diagnostics = [_check_guards(config, state, 0.0)]
-    if first_phase:
-        _couple(state.amplitudes, phases[first_phase], region)
-    t = 0.0
-    for i, (flight, phase) in enumerate(segments, start=1):
-        state.amplitudes = _free_flight(state.amplitudes, flights[flight], workers)
-        if phase:
-            _couple(state.amplitudes, phases[phase], region)
-        t += flight
-        if i % check_every == 0 or i == len(segments):
-            diagnostics.append(_check_guards(config, state, t))
+    def run_block(b: int) -> list[tuple[float, np.ndarray]]:
+        amps, checks = blocks[b], []
+        own = {phase: rows[b] for phase, rows in phases.items()}
+
+        def check(t: float) -> bool:
+            """Record the guard sums; True when the block should stop."""
+            c = len(checks)
+            checks.append((t, _row_sums(amps, region, n_edge)))
+            sample = _sample(t, checks[c][1], dx)
+            if sample.boundary_mass > boundary_limit or (
+                k == 1 and abs(sample.norm - 1.0) > _NORM_TOL
+            ):
+                with failure_lock:
+                    first_failure[0] = min(first_failure[0], c)
+            return c >= first_failure[0]
+
+        if check(0.0):
+            return checks
+        if first_phase:
+            _couple(amps, own[first_phase], region)
+        t = 0.0
+        for i, (flight, phase) in enumerate(segments, start=1):
+            out = _free_flight(amps, flights[flight])
+            if not np.shares_memory(out, amps):
+                amps[...] = out
+            if phase:
+                _couple(amps, own[phase], region)
+            t += flight
+            if (i % check_every == 0 or i == len(segments)) and check(t):
+                break
+        return checks
+
+    if k == 1:
+        per_block = [run_block(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            futures = [pool.submit(run_block, b) for b in range(k)]
+            try:
+                for future in as_completed(futures):
+                    future.result()  # raises the first error of any block
+            except BaseException:  # a block failed, or an interrupt
+                with failure_lock:  # the other blocks stop at their next check
+                    first_failure[0] = -1
+                raise
+        per_block = [future.result() for future in futures]
+    # every block reaches the first check a block failed, where the guards
+    # below raise; otherwise every block completed the schedule
+    diagnostics = []
+    for c in range(min(map(len, per_block))):
+        sums = np.concatenate([checks[c][1] for checks in per_block], axis=1)
+        diagnostics.append(_check_guards(config, _sample(per_block[0][c][0], sums, dx)))
     return Trajectory(final_state=state, diagnostics=diagnostics)
 
 
 def evolve_continuous(
     config: ExperimentConfig,
     initial_state: ChannelState | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> Trajectory:
     """Strang-split evolution of the continuously coupled system.
 
@@ -190,7 +281,7 @@ def evolve_continuous(
 def evolve_kicked(
     config: ExperimentConfig,
     initial_state: ChannelState | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> Trajectory:
     """Kicked evolution: exact free flights of duration T separated by
     instantaneous coupling kicks at t = T, 2T, ... (or also at t = 0 with
@@ -253,16 +344,19 @@ class RunResult:
 
 def run_experiment(
     config: ExperimentConfig,
-    workers: int = 1,
+    workers: int | None = None,
     theta_points: int = 1024,
     check_collision: bool = True,
 ) -> RunResult:
     """Dispatch to the configured engine and collect diagnostics.
 
+    `workers` is the number of channel blocks propagated in parallel
+    (default: every available core); it does not change any result.
     Raises CollisionUnfinishedError if the region occupancy at t_final is
     above config.region_mass_tol (the collision is not over and clock
     readings would still be accruing).
     """
+    workers = resolve_workers(workers)
     regime = validate_regime(config)
     t0 = _time.perf_counter()
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -162,6 +163,13 @@ class TestCmdRun:
         assert "diag.norm_drift" in manifest
         assert "transmission.right" in manifest
 
+    def test_manifest_records_resolved_workers(self, tmp_path):
+        default = cmd_run(_small_config(), tmp_path / "default")
+        cores = len(os.sched_getaffinity(0))
+        assert f"workers = {cores}\n" in (default / "manifest.txt").read_text()
+        three = cmd_run(_small_config(), tmp_path / "three", workers=3)
+        assert "workers = 3\n" in (three / "manifest.txt").read_text()
+
     def test_manifest_checksums_match(self, tmp_path):
         import hashlib
 
@@ -256,6 +264,16 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert "error: boundary occupancy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_exit_two(self, tmp_path, capsys, workers):
+        path = tmp_path / "exp.cfg"
+        path.write_text(emit_config(_small_config()), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(path), "--out", str(out), "--workers", workers]
+        assert main(argv) == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_exits_nonzero(self, capsys):
         assert main(["validate", "--preset", "nope"]) == 2

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
 import tofclock as tc
-from tofclock import analysis, oracles
+from tofclock import analysis, oracles, propagators
 from tofclock.propagators import (
     BoundaryLeakError,
     CollisionUnfinishedError,
@@ -231,6 +233,16 @@ class TestKickedEvolution:
         assert dists[-1] < 0.25 * dists[0]
 
 
+class _SpyExecutor(propagators.ThreadPoolExecutor):
+    """Records the number of threads of every pool the engines construct."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        type(self).sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
 class TestScheduleLoop:
     def test_kicked_equals_public_operator_composition(self):
         # kick at zero, 7 kicks and a remainder flight: every segment kind
@@ -269,6 +281,138 @@ class TestScheduleLoop:
         np.testing.assert_array_equal(state.amplitudes, before)
         assert not np.shares_memory(traj.final_state.amplitudes, state.amplitudes)
 
+    # 17 x 2^14 values split into at most 4 blocks (by size); 5 x 2^16 into
+    # at most 2 (two rows or more a block)
+    @pytest.mark.parametrize("clock, grid, expected_blocks", [
+        (tc.ClockSpec(0.8, 8), tc.build_grid(-40.0, 40.0, 2**14), [2, 3, 4]),
+        (tc.ClockSpec(0.8, 2), tc.build_grid(-40.0, 40.0, 2**16), [2, 2, 2]),
+    ])
+    @pytest.mark.parametrize("overrides", [
+        dict(t_final=0.1),
+        dict(mode="kicked", kick_period=0.03, kick_at_zero=True, t_final=0.1),
+    ])
+    def test_blocks_do_not_change_result(self, monkeypatch, clock, grid,
+                                         expected_blocks, overrides):
+        monkeypatch.setattr(propagators, "ThreadPoolExecutor", _SpyExecutor)
+        monkeypatch.setattr(_SpyExecutor, "sizes", [])
+        cfg = _config(clock=clock, grid=grid, **overrides)
+        runs = [run_experiment(cfg, workers=w)
+                for w in (1, 2, 3, clock.n_modes + 2)]
+        assert _SpyExecutor.sizes == expected_blocks
+        assert len(runs[0].diagnostics) >= 5
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run.final_state.amplitudes,
+                                          runs[0].final_state.amplitudes)
+            assert run.diagnostics == runs[0].diagnostics
+
+    def test_small_state_stays_serial(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool for a state below the threshold")
+
+        monkeypatch.setattr(propagators, "ThreadPoolExecutor", no_threads)
+        cfg = _config()
+        assert cfg.clock.n_modes * cfg.grid.num_points < 2**16
+        run_experiment(cfg, workers=4)
+        run_experiment(_config(mode="kicked", kick_period=0.7), workers=4)
+
+    def test_failing_guard_same_for_blocks(self):
+        # the test_boundary_leak_raises config on a grid that splits; with
+        # four blocks and frequent thread switches the blocks race to record
+        # the failure
+        cfg = _config(t_final=12.0, boundary_mass_tol=1e-6,
+                      grid=tc.build_grid(-40.0, 40.0, 2**14))
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                with pytest.raises(BoundaryLeakError) as info:
+                    run_experiment(cfg, workers=workers)
+                errors.append(str(info.value))
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [errors[0]] * 3
+
+    def test_lagging_block_stops_at_the_failed_check(self, monkeypatch):
+        # rows 0-8 (the first block) head for the left edge, rows 9-16 stay
+        # in the middle; the second block is slowed down, so it is behind
+        # when the first one fails the boundary guard
+        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        clock = tc.ClockSpec(0.8, 8)
+        leaving = tc.init_gaussian(tc.WavepacketSpec(1.0, -30.0, -5.0), grid)
+        staying = tc.init_gaussian(tc.WavepacketSpec(1.0, 0.0, 0.0), grid)
+        amps = np.array([leaving] * 9 + [staying] * 8) / math.sqrt(17)
+        state = tc.ChannelState(clock, grid, amps)
+        cfg = _config(clock=clock, grid=grid, mode="kicked", kick_period=0.25,
+                      t_final=3.0, boundary_mass_tol=1e-3)
+        with pytest.raises(BoundaryLeakError) as serial:
+            evolve_kicked(cfg, initial_state=state, workers=1)
+
+        flight, lagging_flights = propagators._free_flight, []
+
+        def slow_second_block(amps, propagator):
+            if amps.shape[0] == 8:
+                lagging_flights.append(propagator)
+                time.sleep(0.02)
+            return flight(amps, propagator)
+
+        monkeypatch.setattr(propagators, "_free_flight", slow_second_block)
+        with pytest.raises(BoundaryLeakError) as split:
+            evolve_kicked(cfg, initial_state=state, workers=2)
+        assert str(split.value) == str(serial.value)
+        failed_at = float(str(serial.value).rsplit("t=", 1)[1])
+        assert len(lagging_flights) == round(failed_at / 0.25) < 12
+
+    def test_error_in_a_block_stops_the_others(self, monkeypatch):
+        flight, other_flights = propagators._free_flight, []
+
+        def second_block_fails(amps, propagator):
+            if amps.shape[0] == 8:
+                raise MemoryError("second block")
+            other_flights.append(propagator)
+            time.sleep(0.01)
+            return flight(amps, propagator)
+
+        monkeypatch.setattr(propagators, "_free_flight", second_block_fails)
+        cfg = _config(grid=tc.build_grid(-40.0, 40.0, 2**14), mode="kicked",
+                      kick_period=0.01, t_final=1.0)
+        with pytest.raises(MemoryError, match="second block"):
+            run_experiment(cfg, workers=2)
+        assert len(other_flights) < 10
+
+    @pytest.mark.parametrize("engine, overrides", [
+        (evolve_continuous, {}),
+        (evolve_kicked, dict(mode="kicked", kick_period=0.03)),
+    ])
+    def test_norm_drift_same_for_blocks(self, engine, overrides):
+        # only a block holding every row can see the norm; split blocks run
+        # on and the guards raise at the same check afterwards
+        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        state, _, _ = _free_state(grid=grid)
+        state.amplitudes *= 1.001
+        cfg = _config(grid=grid, t_final=0.1, **overrides)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(NormDriftError) as info:
+                engine(cfg, initial_state=state, workers=workers)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].endswith("at t=0")
+
+    def test_row_sums_match_state_masses(self):
+        rng = np.random.default_rng(7)
+        clock, grid = tc.ClockSpec(0.8, 3), tc.build_grid(-40.0, 40.0, 2**9)
+        amps = rng.normal(size=(7, 2**9)) + 1j * rng.normal(size=(7, 2**9))
+        state = tc.ChannelState(clock, grid, amps / math.sqrt(np.sum(np.abs(amps)**2) * grid.dx))
+        region = tc.RegionSpec(-8.0, 8.0)
+        sums = propagators._row_sums(state.amplitudes, grid.region_slice(region),
+                                     grid.edge_points)
+        sample = propagators._sample(0.0, sums, grid.dx)
+        assert sample.norm == pytest.approx(state.norm(), rel=0, abs=1e-14)
+        assert sample.region_mass == pytest.approx(state.region_mass(region), rel=0, abs=1e-14)
+        assert sample.boundary_mass == pytest.approx(state.boundary_mass(), rel=0, abs=1e-14)
+        np.testing.assert_allclose(sums[0] * grid.dx, state.channel_norms(), rtol=0, atol=1e-14)
+
 
 class TestRunExperiment:
     def test_continuous_dispatch(self):
@@ -304,3 +448,8 @@ class TestRunExperiment:
         a = run_experiment(_config(), workers=1).final_state.amplitudes
         b = run_experiment(_config(), workers=4).final_state.amplitudes
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(_config(mode="ideal-reference"), workers=workers)
