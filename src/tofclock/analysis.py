@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .core import ChannelState, ClockSpec, RegionSpec
+from .core import ChannelState, ClockSpec, RegionSpec, row_sums
 
 NEGATIVE_DENSITY_TOL = 1e-12
 
@@ -50,7 +50,7 @@ def theta_distribution(
     overlaps = overlap_matrix(state)
     theta = np.linspace(0.0, 2.0 * math.pi, theta_points + 1)
     phases = np.exp(1j * np.outer(theta, state.clock.modes))
-    density = np.einsum("tm,mn,tn->t", phases, overlaps, phases.conj()).real
+    density = np.einsum("tm,tm->t", phases @ overlaps, phases.conj()).real
     density /= 2.0 * math.pi
     return theta, density
 
@@ -211,11 +211,9 @@ def transmission_report(
     state: ChannelState, region: RegionSpec
 ) -> TransmissionReport:
     inner = state.grid.region_slice(region)
-    dx = state.grid.dx
-    p = np.abs(state.amplitudes) ** 2
-    left = p[:, :inner.start].sum(axis=1) * dx
-    inside = p[:, inner].sum(axis=1) * dx
-    right = p[:, inner.stop:].sum(axis=1) * dx
+    left, inside, right = state.grid.dx * row_sums(
+        state.amplitudes, slice(None, inner.start), inner, slice(inner.stop, None)
+    )
     return TransmissionReport(
         modes=state.clock.modes.copy(), left=left, inside=inside, right=right
     )

@@ -165,6 +165,19 @@ def build_grid(x_min: float, x_max: float, num_points: int) -> SpatialGrid:
     return SpatialGrid(x_min, x_max, num_points)
 
 
+def row_sums(amps: np.ndarray, *columns: slice) -> np.ndarray:
+    """Per-row sums of |amps|^2 over each (step 1) column slice: a
+    (len(columns), rows) array, built without temporaries."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    f = amps.view(np.float64)  # real and imaginary parts interleaved
+    sums = []
+    for cols in columns:
+        lo, hi, _ = cols.indices(amps.shape[-1])
+        part = f[:, 2 * lo:2 * hi]
+        sums.append(np.einsum("ij,ij->i", part, part))
+    return np.array(sums)
+
+
 @dataclass
 class ChannelState:
     """Joint particle-clock state as one spatial amplitude per clock mode.
@@ -186,21 +199,20 @@ class ChannelState:
             )
 
     def channel_norms(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1) * self.grid.dx
+        return row_sums(self.amplitudes, slice(None))[0] * self.grid.dx
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2)) * self.grid.dx
+        return float(row_sums(self.amplitudes, slice(None)).sum()) * self.grid.dx
 
     def region_mass(self, region: RegionSpec) -> float:
-        inside = self.amplitudes[:, self.grid.region_slice(region)]
-        return float(np.sum(np.abs(inside) ** 2)) * self.grid.dx
+        inside = row_sums(self.amplitudes, self.grid.region_slice(region))
+        return float(inside.sum()) * self.grid.dx
 
     def boundary_mass(self) -> float:
         """Mass in the `SpatialGrid.edge_points` at each edge of the grid."""
         n_edge = self.grid.edge_points
-        a = self.amplitudes
-        edge = np.sum(np.abs(a[:, :n_edge]) ** 2) + np.sum(np.abs(a[:, -n_edge:]) ** 2)
-        return float(edge) * self.grid.dx
+        edges = row_sums(self.amplitudes, slice(None, n_edge), slice(-n_edge, None))
+        return float(edges.sum()) * self.grid.dx
 
     def copy(self) -> "ChannelState":
         return ChannelState(self.clock, self.grid, self.amplitudes.copy())

@@ -8,11 +8,11 @@ acts channel-by-channel on the (N, num_points) amplitude array.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import threading
 import time as _time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     SpatialGrid,
     init_gaussian,
     product_state,
+    row_sums,
     validate_regime,
     RegimeReport,
 )
@@ -128,14 +129,6 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _row_sums(amps: np.ndarray, region: slice, n_edge: int) -> np.ndarray:
-    """Per-channel sums of |psi|^2 over the whole grid, the region and the
-    left and right edges: a (4, channels) array, built without temporaries."""
-    f = amps.view(np.float64)  # real and imaginary parts interleaved
-    parts = (f, f[:, 2 * region.start:2 * region.stop], f[:, :2 * n_edge], f[:, -2 * n_edge:])
-    return np.array([np.einsum("ij,ij->i", part, part) for part in parts])
-
-
 def _sample(t: float, sums: np.ndarray, dx: float) -> DiagnosticSample:
     total, inside, left, right = sums.sum(axis=1)
     return DiagnosticSample(
@@ -173,11 +166,11 @@ def _run_schedule(
     initial state, every `check_every` segments and after the last one.
 
     The channels never mix, so the rows are split into up to `workers`
-    contiguous blocks (views of one array), each carried through the whole
-    schedule by its own thread; a small state stays in one block.  Blocks
-    record per-row sums at every guard check; these are reduced in row
-    order afterwards, so neither the diagnostics nor the amplitudes depend
-    on the number of blocks.
+    contiguous blocks (views of one array); a small state stays in one
+    block.  All blocks advance together from one guard check to the next,
+    block 0 on the calling thread and the others on a pool.  Each returns
+    its per-row sums, which are reduced in row order, so neither the
+    diagnostics nor the amplitudes depend on the number of blocks.
     """
     state = (initial_state if initial_state is not None else _initial_state(config)).copy()
     grid, clock = config.grid, config.clock
@@ -195,65 +188,38 @@ def _run_schedule(
         phase: np.array_split(_coupling_phases(clock, phase), k)
         for phase in {first_phase, *(phase for _, phase in segments)} if phase
     }
-    # A block stops once its own rows exceed the boundary tolerance, which
-    # all rows together then exceed too; the margin covers the block's sum
-    # being rounded apart from the total.  A block holding every row stops
-    # exactly where the guards fail, norm included.
-    boundary_limit = config.boundary_mass_tol * (1.0 if k == 1 else 1.0 + 1e-9)
-    first_failure = [math.inf]  # index of the first guard check a block failed
-    failure_lock = threading.Lock()
+    # the steps between guard checks; the first check is on the initial
+    # state, and the first phase is a step without flight
+    intervals, pending = [[]], [(0.0, first_phase)]
+    for i, segment in enumerate(segments, start=1):
+        pending.append(segment)
+        if i % check_every == 0 or i == len(segments):
+            intervals.append(pending)
+            pending = []
 
-    def run_block(b: int) -> list[tuple[float, np.ndarray]]:
-        amps, checks = blocks[b], []
-        own = {phase: rows[b] for phase, rows in phases.items()}
-
-        def check(t: float) -> bool:
-            """Record the guard sums; True when the block should stop."""
-            c = len(checks)
-            checks.append((t, _row_sums(amps, region, n_edge)))
-            sample = _sample(t, checks[c][1], dx)
-            if sample.boundary_mass > boundary_limit or (
-                k == 1 and abs(sample.norm - 1.0) > _NORM_TOL
-            ):
-                with failure_lock:
-                    first_failure[0] = min(first_failure[0], c)
-            return c >= first_failure[0]
-
-        if check(0.0):
-            return checks
-        if first_phase:
-            _couple(amps, own[first_phase], region)
-        t = 0.0
-        for i, (flight, phase) in enumerate(segments, start=1):
-            out = _free_flight(amps, flights[flight])
-            if not np.shares_memory(out, amps):
-                amps[...] = out
+    def advance(b: int, interval: list[tuple[float, float]]) -> np.ndarray:
+        amps = blocks[b]
+        for flight, phase in interval:
+            if flight:
+                out = _free_flight(amps, flights[flight])
+                if not np.shares_memory(out, amps):
+                    amps[...] = out
             if phase:
-                _couple(amps, own[phase], region)
-            t += flight
-            if (i % check_every == 0 or i == len(segments)) and check(t):
-                break
-        return checks
+                _couple(amps, phases[phase][b], region)
+        return row_sums(amps, slice(None), region, slice(None, n_edge), slice(-n_edge, None))
 
-    if k == 1:
-        per_block = [run_block(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            futures = [pool.submit(run_block, b) for b in range(k)]
-            try:
-                for future in as_completed(futures):
-                    future.result()  # raises the first error of any block
-            except BaseException:  # a block failed, or an interrupt
-                with failure_lock:  # the other blocks stop at their next check
-                    first_failure[0] = -1
-                raise
-        per_block = [future.result() for future in futures]
-    # every block reaches the first check a block failed, where the guards
-    # below raise; otherwise every block completed the schedule
-    diagnostics = []
-    for c in range(min(map(len, per_block))):
-        sums = np.concatenate([checks[c][1] for checks in per_block], axis=1)
-        diagnostics.append(_check_guards(config, _sample(per_block[0][c][0], sums, dx)))
+    t, diagnostics = 0.0, []
+    # on an error or interrupt, leaving the pool waits only for the other
+    # blocks' current interval
+    with ThreadPoolExecutor(k - 1) if k > 1 else contextlib.nullcontext() as pool:
+        for interval in intervals:
+            futures = [pool.submit(advance, b, interval) for b in range(1, k)]
+            sums = np.concatenate(
+                [advance(0, interval)] + [future.result() for future in futures], axis=1
+            )
+            for flight, _ in interval:
+                t += flight
+            diagnostics.append(_check_guards(config, _sample(t, sums, dx)))
     return Trajectory(final_state=state, diagnostics=diagnostics)
 
 
@@ -346,7 +312,6 @@ def run_experiment(
     config: ExperimentConfig,
     workers: int | None = None,
     theta_points: int = 1024,
-    check_collision: bool = True,
 ) -> RunResult:
     """Dispatch to the configured engine and collect diagnostics.
 
@@ -390,7 +355,7 @@ def run_experiment(
         final_channel_norms=traj.final_state.channel_norms(),
         wall_time=wall,
     )
-    if check_collision and result.region_mass_final > config.region_mass_tol:
+    if result.region_mass_final > config.region_mass_tol:
         raise CollisionUnfinishedError(
             f"region occupancy {result.region_mass_final:.3e} at t_final="
             f"{config.t_final:g} exceeds tolerance {config.region_mass_tol:.1e}"

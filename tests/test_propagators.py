@@ -234,7 +234,8 @@ class TestKickedEvolution:
 
 
 class _SpyExecutor(propagators.ThreadPoolExecutor):
-    """Records the number of threads of every pool the engines construct."""
+    """Records the number of threads of every pool the engines construct
+    (one less than the number of blocks: the caller runs one)."""
 
     sizes: list = []
 
@@ -298,7 +299,7 @@ class TestScheduleLoop:
         cfg = _config(clock=clock, grid=grid, **overrides)
         runs = [run_experiment(cfg, workers=w)
                 for w in (1, 2, 3, clock.n_modes + 2)]
-        assert _SpyExecutor.sizes == expected_blocks
+        assert [size + 1 for size in _SpyExecutor.sizes] == expected_blocks
         assert len(runs[0].diagnostics) >= 5
         for run in runs[1:]:
             np.testing.assert_array_equal(run.final_state.amplitudes,
@@ -316,9 +317,8 @@ class TestScheduleLoop:
         run_experiment(_config(mode="kicked", kick_period=0.7), workers=4)
 
     def test_failing_guard_same_for_blocks(self):
-        # the test_boundary_leak_raises config on a grid that splits; with
-        # four blocks and frequent thread switches the blocks race to record
-        # the failure
+        # the test_boundary_leak_raises config on a grid that splits, with
+        # four blocks and frequent thread switches
         cfg = _config(t_final=12.0, boundary_mass_tol=1e-6,
                       grid=tc.build_grid(-40.0, 40.0, 2**14))
         errors = []
@@ -335,8 +335,8 @@ class TestScheduleLoop:
 
     def test_lagging_block_stops_at_the_failed_check(self, monkeypatch):
         # rows 0-8 (the first block) head for the left edge, rows 9-16 stay
-        # in the middle; the second block is slowed down, so it is behind
-        # when the first one fails the boundary guard
+        # in the middle; the second block is slowed down, yet it stops at
+        # the check the first one fails
         grid = tc.build_grid(-40.0, 40.0, 2**14)
         clock = tc.ClockSpec(0.8, 8)
         leaving = tc.init_gaussian(tc.WavepacketSpec(1.0, -30.0, -5.0), grid)
@@ -385,8 +385,6 @@ class TestScheduleLoop:
         (evolve_kicked, dict(mode="kicked", kick_period=0.03)),
     ])
     def test_norm_drift_same_for_blocks(self, engine, overrides):
-        # only a block holding every row can see the norm; split blocks run
-        # on and the guards raise at the same check afterwards
         grid = tc.build_grid(-40.0, 40.0, 2**14)
         state, _, _ = _free_state(grid=grid)
         state.amplitudes *= 1.001
@@ -399,19 +397,51 @@ class TestScheduleLoop:
         assert errors[0] == errors[1]
         assert errors[0].endswith("at t=0")
 
+    def test_norm_drift_stops_split_blocks_at_once(self, monkeypatch):
+        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        state, _, _ = _free_state(grid=grid)
+        state.amplitudes *= 1.001
+        cfg = _config(grid=grid, mode="kicked", kick_period=0.03, t_final=3.0)
+        flight, flights = propagators._free_flight, []
+
+        def counted(amps, propagator):
+            flights.append(amps.shape[0])
+            return flight(amps, propagator)
+
+        monkeypatch.setattr(propagators, "_free_flight", counted)
+        with pytest.raises(NormDriftError, match=r"at t=0$"):
+            evolve_kicked(cfg, initial_state=state, workers=2)
+        assert flights == []
+
     def test_row_sums_match_state_masses(self):
         rng = np.random.default_rng(7)
         clock, grid = tc.ClockSpec(0.8, 3), tc.build_grid(-40.0, 40.0, 2**9)
         amps = rng.normal(size=(7, 2**9)) + 1j * rng.normal(size=(7, 2**9))
-        state = tc.ChannelState(clock, grid, amps / math.sqrt(np.sum(np.abs(amps)**2) * grid.dx))
+        amps /= math.sqrt(np.sum(np.abs(amps)**2) * grid.dx)
+        state = tc.ChannelState(clock, grid, amps)
         region = tc.RegionSpec(-8.0, 8.0)
-        sums = propagators._row_sums(state.amplitudes, grid.region_slice(region),
-                                     grid.edge_points)
-        sample = propagators._sample(0.0, sums, grid.dx)
-        assert sample.norm == pytest.approx(state.norm(), rel=0, abs=1e-14)
-        assert sample.region_mass == pytest.approx(state.region_mass(region), rel=0, abs=1e-14)
-        assert sample.boundary_mass == pytest.approx(state.boundary_mass(), rel=0, abs=1e-14)
-        np.testing.assert_allclose(sums[0] * grid.dx, state.channel_norms(), rtol=0, atol=1e-14)
+        inner, n_edge, dx = grid.region_slice(region), grid.edge_points, grid.dx
+        p = np.abs(amps) ** 2
+        norms = np.sum(p, axis=1) * dx
+        inside = np.sum(p[:, inner]) * dx
+        edges = (np.sum(p[:, :n_edge]) + np.sum(p[:, -n_edge:])) * dx
+        sums = tc.core.row_sums(amps, slice(None), inner, slice(None, n_edge),
+                                slice(-n_edge, None))
+        sample = propagators._sample(0.0, sums, dx)
+        assert sample.norm == pytest.approx(np.sum(norms), rel=0, abs=1e-14)
+        assert sample.region_mass == pytest.approx(inside, rel=0, abs=1e-14)
+        assert sample.boundary_mass == pytest.approx(edges, rel=0, abs=1e-14)
+        assert state.norm() == pytest.approx(np.sum(norms), rel=0, abs=1e-14)
+        assert state.region_mass(region) == pytest.approx(inside, rel=0, abs=1e-14)
+        assert state.boundary_mass() == pytest.approx(edges, rel=0, abs=1e-14)
+        np.testing.assert_allclose(state.channel_norms(), norms, rtol=0, atol=1e-14)
+        report = analysis.transmission_report(state, region)
+        np.testing.assert_allclose(report.left, np.sum(p[:, :inner.start], axis=1) * dx,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(report.inside, np.sum(p[:, inner], axis=1) * dx,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(report.right, np.sum(p[:, inner.stop:], axis=1) * dx,
+                                   rtol=0, atol=1e-14)
 
 
 class TestRunExperiment:
@@ -432,12 +462,6 @@ class TestRunExperiment:
     def test_collision_unfinished_raises(self):
         with pytest.raises(CollisionUnfinishedError):
             run_experiment(_config(t_final=3.0, region_mass_tol=1e-4))
-
-    def test_collision_check_can_be_disabled(self):
-        result = run_experiment(
-            _config(t_final=3.0, region_mass_tol=1e-4), check_collision=False
-        )
-        assert result.region_mass_final > 1e-4
 
     def test_boundary_leak_raises(self):
         cfg = _config(t_final=12.0, boundary_mass_tol=1e-6)
