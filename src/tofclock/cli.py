@@ -101,9 +101,10 @@ def cmd_run(
     label: str = "",
 ) -> Path:
     workers = resolve_workers(workers)
+    result = run_experiment(config, workers=workers, theta_points=theta_points)
+    # made only now, so that a failed run leaves no empty run directory
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(config, workers=workers, theta_points=theta_points)
     report = result.regime
     warnings = regime_warnings(config, report)
 

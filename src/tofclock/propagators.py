@@ -52,8 +52,8 @@ def _kinetic_propagator(grid: SpatialGrid, dt: float, m: float, hbar: float) -> 
     return np.exp(-0.5j * hbar * grid.k**2 * dt / m)
 
 
-def _coupling_phases(clock: ClockSpec, duration: float) -> np.ndarray:
-    return np.exp(-1j * clock.modes * clock.omega * duration)[:, None]
+def _coupling_phases(modes: np.ndarray, omega: float, duration: float) -> np.ndarray:
+    return np.exp(-1j * modes * omega * duration)[:, None]
 
 
 def _free_flight(amps: np.ndarray, propagator: np.ndarray) -> np.ndarray:
@@ -88,7 +88,9 @@ def coupling_phase_step(
     on grid points inside the region; elsewhere nothing happens.  Per-channel
     norms are exactly preserved (pure phase)."""
     amps = state.amplitudes.copy()
-    _couple(amps, _coupling_phases(state.clock, duration), state.grid.region_slice(region))
+    clock = state.clock
+    _couple(amps, _coupling_phases(clock.modes, clock.omega, duration),
+            state.grid.region_slice(region))
     return ChannelState(state.clock, state.grid, amps)
 
 
@@ -111,8 +113,9 @@ def _initial_state(config: ExperimentConfig) -> ChannelState:
     return product_state(psi, config.clock, config.grid)
 
 
-# a state of fewer amplitudes runs serially: split over two threads, a
-# 17 x 512 state ran slower than on one
+# a state of fewer amplitudes runs serially: split over two threads on two
+# vCPUs, a 17 x 512 state ran slower than on one, and so did the 25 x 4096
+# rows fig1-kicked-T1 keeps after merging kick classes (69 against 60 ms)
 _MIN_BLOCK_VALUES = 2**16
 _NORM_TOL = 1e-8
 
@@ -129,8 +132,12 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _sample(t: float, sums: np.ndarray, dx: float) -> DiagnosticSample:
-    total, inside, left, right = sums.sum(axis=1)
+def _sample(
+    t: float, sums: np.ndarray, dx: float, counts: np.ndarray | None = None
+) -> DiagnosticSample:
+    """Diagnostics from per-row sums; row i stands for `counts[i]` channels
+    when counts are given."""
+    total, inside, left, right = (sums if counts is None else sums * counts).sum(axis=1)
     return DiagnosticSample(
         t=t,
         norm=float(total) * dx,
@@ -152,14 +159,18 @@ def _check_guards(config: ExperimentConfig, sample: DiagnosticSample) -> Diagnos
 
 def _run_schedule(
     config: ExperimentConfig,
-    initial_state: ChannelState | None,
+    amps: np.ndarray,
+    modes: np.ndarray,
+    counts: np.ndarray | None,
     first_phase: float,
     segments: list[tuple[float, float]],
     check_every: int,
     workers: int | None,
-) -> Trajectory:
-    """The one time loop of both engines.
+) -> list[DiagnosticSample]:
+    """The one time loop of both engines; evolves `amps` in place.
 
+    Row i of `amps` is a channel of mode `modes[i]`, and stands for
+    `counts[i]` channels in the guard sums (one each when counts is None).
     Applies the coupling for `first_phase`, then for each (flight, phase)
     segment an exact free flight of duration `flight` followed by the
     coupling accrued over `phase` (none when it is 0).  Guards run on the
@@ -172,20 +183,19 @@ def _run_schedule(
     its per-row sums, which are reduced in row order, so neither the
     diagnostics nor the amplitudes depend on the number of blocks.
     """
-    state = (initial_state if initial_state is not None else _initial_state(config)).copy()
-    grid, clock = config.grid, config.clock
+    grid, omega = config.grid, config.clock.omega
     region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
     # at least two rows a block: einsum sums a lone row in buffer-sized
     # chunks, so its guard sums would depend on the split
-    k = max(1, min(resolve_workers(workers), clock.n_modes // 2,
-                   state.amplitudes.size // _MIN_BLOCK_VALUES))
-    blocks = np.array_split(state.amplitudes, k)
+    k = max(1, min(resolve_workers(workers), amps.shape[0] // 2,
+                   amps.size // _MIN_BLOCK_VALUES))
+    blocks = np.array_split(amps, k)
     flights = {
         flight: _kinetic_propagator(grid, flight, config.physical.m, config.physical.hbar)
         for flight in {flight for flight, _ in segments}
     }
     phases = {
-        phase: np.array_split(_coupling_phases(clock, phase), k)
+        phase: np.array_split(_coupling_phases(modes, omega, phase), k)
         for phase in {first_phase, *(phase for _, phase in segments)} if phase
     }
     # the steps between guard checks; the first check is on the initial
@@ -198,15 +208,15 @@ def _run_schedule(
             pending = []
 
     def advance(b: int, interval: list[tuple[float, float]]) -> np.ndarray:
-        amps = blocks[b]
+        block = blocks[b]
         for flight, phase in interval:
             if flight:
-                out = _free_flight(amps, flights[flight])
-                if not np.shares_memory(out, amps):
-                    amps[...] = out
+                out = _free_flight(block, flights[flight])
+                if not np.shares_memory(out, block):
+                    block[...] = out
             if phase:
-                _couple(amps, phases[phase][b], region)
-        return row_sums(amps, slice(None), region, slice(None, n_edge), slice(-n_edge, None))
+                _couple(block, phases[phase][b], region)
+        return row_sums(block, slice(None), region, slice(None, n_edge), slice(-n_edge, None))
 
     t, diagnostics = 0.0, []
     # on an error or interrupt, leaving the pool waits only for the other
@@ -219,8 +229,8 @@ def _run_schedule(
             )
             for flight, _ in interval:
                 t += flight
-            diagnostics.append(_check_guards(config, _sample(t, sums, dx)))
-    return Trajectory(final_state=state, diagnostics=diagnostics)
+            diagnostics.append(_check_guards(config, _sample(t, sums, dx, counts)))
+    return diagnostics
 
 
 def evolve_continuous(
@@ -241,7 +251,42 @@ def evolve_continuous(
     # does not affect any of the |.|^2 diagnostics
     segments = [(dt, dt)] * (n_steps - 1) + [(dt, 0.5 * dt)]
     check_every = max(1, n_steps // max(1, config.snapshots))
-    return _run_schedule(config, initial_state, 0.5 * dt, segments, check_every, workers)
+    state = (initial_state if initial_state is not None else _initial_state(config)).copy()
+    diagnostics = _run_schedule(config, state.amplitudes, config.clock.modes, None,
+                                0.5 * dt, segments, check_every, workers)
+    return Trajectory(final_state=state, diagnostics=diagnostics)
+
+
+def _kick_classes(
+    clock: ClockSpec, period: float, amplitudes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows that a kicked run may propagate as one, or None if there are none.
+
+    Row i gets the kick phase exp(-i n_i omega T).  With q = omega T / 2 pi
+    and p the smallest 1 <= p < 2j+1 for which q p is an integer (to a few
+    ulp), rows i and i + p get the same phase mod 2 pi at every kick, and
+    every channel is free between kicks.  So rows of one such class whose
+    initial amplitudes are bitwise equal stay equal, up to the last bits in
+    which exp of n omega T and of n omega T + 2 pi q p differ.
+
+    Returns (owner, representatives): `owner[i]` is the position in
+    `representatives` of the row that row i is merged into.
+    """
+    q = clock.omega * period / (2.0 * math.pi)
+    p = next((p for p in range(1, clock.n_modes)
+              if abs(q * p - round(q * p)) <= 4 * math.ulp(q * p)), None)
+    if p is None:
+        return None
+    bits = np.ascontiguousarray(amplitudes).view(np.uint64)
+    owner, reps = np.full(len(bits), -1), []
+    for i in range(len(bits)):
+        if owner[i] < 0:
+            members = owner[i::p]  # a view: row i's class from row i on
+            members[(members < 0) & (bits[i::p] == bits[i]).all(axis=1)] = len(reps)
+            reps.append(i)
+    if len(reps) == len(bits):
+        return None
+    return owner, np.array(reps)
 
 
 def evolve_kicked(
@@ -253,7 +298,8 @@ def evolve_kicked(
     instantaneous coupling kicks at t = T, 2T, ... (or also at t = 0 with
     kick_at_zero), plus a final partial free flight up to t_final.
 
-    No splitting error: the inter-kick Hamiltonian is purely kinetic.
+    No splitting error: the inter-kick Hamiltonian is purely kinetic.  Rows
+    that `_kick_classes` merges are propagated once and copied at the end.
     """
     schedule = config.kick_schedule
     if schedule is None:
@@ -264,7 +310,19 @@ def evolve_kicked(
     if remainder > 1e-12 * config.t_final:
         segments.append((remainder, 0.0))
     first_phase = T if config.kick_at_zero else 0.0
-    return _run_schedule(config, initial_state, first_phase, segments, 1, workers)
+    clock = config.clock
+    state = initial_state if initial_state is not None else _initial_state(config)
+    classes = _kick_classes(clock, T, state.amplitudes)
+    if classes is None:
+        amps, modes, counts = state.amplitudes.copy(), clock.modes, None
+    else:
+        owner, reps = classes
+        amps, modes, counts = state.amplitudes[reps], clock.modes[reps], np.bincount(owner)
+    diagnostics = _run_schedule(config, amps, modes, counts, first_phase, segments, 1,
+                                workers)
+    if classes is not None:
+        amps = amps[owner]
+    return Trajectory(ChannelState(state.clock, state.grid, amps), diagnostics)
 
 
 @dataclass

@@ -264,6 +264,7 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert "error: boundary occupancy" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_nonpositive_workers_exit_two(self, tmp_path, capsys, workers):

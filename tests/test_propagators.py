@@ -5,9 +5,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tofclock as tc
 from tofclock import analysis, oracles, propagators
+from tofclock.core import modular_phase
+from tofclock.presets import get_preset
 from tofclock.propagators import (
     BoundaryLeakError,
     CollisionUnfinishedError,
@@ -43,6 +46,25 @@ def _free_state(clock=None, grid=None, spec=None):
     spec = spec or tc.WavepacketSpec(1.0, -15.0, 5.0)
     psi = tc.init_gaussian(spec, grid)
     return tc.product_state(psi, clock, grid), spec, grid
+
+
+def _class_period(omega, a, b):
+    """Kick period with omega T / 2 pi = a / b."""
+    return 2.0 * math.pi * a / (b * omega)
+
+
+def _class_count(clock, period, amplitudes):
+    classes = propagators._kick_classes(clock, period, amplitudes)
+    return clock.n_modes if classes is None else len(classes[1])
+
+
+def _kicked_composition(cfg, state):
+    T, n = cfg.kick_period, cfg.kick_schedule.n_kicks
+    if cfg.kick_at_zero:
+        state = coupling_phase_step(state, T, cfg.region)
+    for _ in range(n):
+        state = coupling_phase_step(kinetic_step(state, T), T, cfg.region)
+    return kinetic_step(state, cfg.t_final - n * T)
 
 
 class TestKineticStep:
@@ -248,12 +270,7 @@ class TestScheduleLoop:
     def test_kicked_equals_public_operator_composition(self):
         # kick at zero, 7 kicks and a remainder flight: every segment kind
         cfg = _config(mode="kicked", kick_period=0.7, kick_at_zero=True)
-        T, n = cfg.kick_period, cfg.kick_schedule.n_kicks
-        state, _, _ = _free_state()
-        state = coupling_phase_step(state, T, cfg.region)
-        for _ in range(n):
-            state = coupling_phase_step(kinetic_step(state, T), T, cfg.region)
-        state = kinetic_step(state, cfg.t_final - n * T)
+        state = _kicked_composition(cfg, _free_state()[0])
         traj = evolve_kicked(cfg)
         np.testing.assert_array_equal(traj.final_state.amplitudes, state.amplitudes)
 
@@ -274,6 +291,7 @@ class TestScheduleLoop:
     @pytest.mark.parametrize("engine, overrides", [
         (evolve_continuous, {}),
         (evolve_kicked, dict(mode="kicked", kick_period=0.7, kick_at_zero=True)),
+        (evolve_kicked, dict(mode="kicked", kick_period=_class_period(0.8, 1, 9))),
     ])
     def test_initial_state_not_mutated(self, engine, overrides):
         state, _, _ = _free_state()
@@ -442,6 +460,118 @@ class TestScheduleLoop:
                                    rtol=0, atol=1e-14)
         np.testing.assert_allclose(report.right, np.sum(p[:, inner.stop:], axis=1) * dx,
                                    rtol=0, atol=1e-14)
+
+
+@st.composite
+def _random_kicked_runs(draw):
+    """A small kicked config with omega T / 2 pi either a fraction a / b,
+    b < 2j+1 (rows b apart share every kick phase), or a random float, and
+    an initial state whose rows repeat a few weights (only equal rows may
+    be merged); also the expected number of propagated rows."""
+    j = draw(st.integers(1, 6))
+    n_modes = 2 * j + 1
+    T = draw(st.floats(0.3, 1.2))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                            min_size=n_modes, max_size=n_modes))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, n_modes - 1))
+        omega, p = 2.0 * math.pi * a / (b * T), b // math.gcd(a, b)
+        rows = len({(i % p, w) for i, w in enumerate(weights)})
+    else:
+        omega, rows = draw(st.floats(0.2, 3.0)), n_modes
+    grid = tc.build_grid(-40.0, 40.0, 2**8)
+    cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
+                  kick_period=T, kick_at_zero=draw(st.booleans()))
+    weights = np.array(weights) / math.sqrt(np.sum(np.square(weights)))
+    psi = tc.init_gaussian(cfg.packet, grid)
+    return cfg, tc.ChannelState(cfg.clock, grid, np.outer(weights, psi)), rows
+
+
+class TestKickClasses:
+    @pytest.mark.parametrize("T, expected", [
+        (0.1, 101), (0.2, 101), (0.5, 50), (1.0, 25), (2.0, 25), (5.0, 5),
+    ])
+    def test_fig1_class_counts(self, T, expected):
+        cfg = get_preset(f"fig1-kicked-T{T:g}")
+        state = propagators._initial_state(cfg)
+        assert _class_count(cfg.clock, T, state.amplitudes) == expected
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 5.0])
+    def test_members_share_modular_phase(self, T):
+        cfg = get_preset(f"fig1-kicked-T{T:g}")
+        owner, reps = propagators._kick_classes(
+            cfg.clock, T, propagators._initial_state(cfg).amplitudes)
+        modes = cfg.clock.modes
+        for i, c in enumerate(owner):
+            nu = modular_phase(int(modes[i]), cfg.clock, T)[0]
+            nu_rep = modular_phase(int(modes[reps[c]]), cfg.clock, T)[0]
+            assert abs(math.remainder(nu - nu_rep, 2.0 * math.pi)) < 1e-12
+
+    def test_near_coincident_phases_not_merged(self):
+        # omega T / 2 pi = 0.04 (1 + 1e-9): rows 25 apart, the would-be
+        # classes, differ in kick phase by 1e-9 of a turn
+        cfg = get_preset("fig1-kicked-T1")
+        amps = propagators._initial_state(cfg).amplitudes
+        assert _class_count(cfg.clock, 1.0, amps) == 25
+        assert propagators._kick_classes(cfg.clock, 1.0 + 1e-9, amps) is None
+
+    @pytest.mark.parametrize("product", [True, False])
+    def test_merges_only_equal_rows(self, product):
+        # omega T / 2 pi = 1/9: rows i and i + 9 share every kick phase
+        cfg = _config(mode="kicked", kick_period=_class_period(0.8, 1, 9),
+                      kick_at_zero=True)
+        state, _, _ = _free_state()
+        if not product:
+            weights = np.linspace(0.9, 1.1, 17)
+            state.amplitudes *= (weights / np.sqrt(np.mean(weights**2)))[:, None]
+        expected = _kicked_composition(cfg, state).amplitudes
+        final = evolve_kicked(cfg, initial_state=state).final_state.amplitudes
+        if product:
+            assert _class_count(cfg.clock, cfg.kick_period, state.amplitudes) == 9
+            np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
+        else:
+            assert propagators._kick_classes(cfg.clock, cfg.kick_period,
+                                             state.amplitudes) is None
+            np.testing.assert_array_equal(final, expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_random_kicked_runs())
+    def test_random_configs_match_operator_composition(self, run):
+        cfg, state, rows = run
+        assert _class_count(cfg.clock, cfg.kick_period, state.amplitudes) == rows
+        final = evolve_kicked(cfg, initial_state=state).final_state
+        np.testing.assert_allclose(final.channel_norms(), state.channel_norms(),
+                                   rtol=0, atol=1e-12)
+        expected = _kicked_composition(cfg, state).amplitudes
+        np.testing.assert_allclose(final.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("error, overrides, scale", [
+        (BoundaryLeakError, dict(t_final=12.0, boundary_mass_tol=1e-6), 1.0),
+        (NormDriftError, dict(t_final=3.0), 1.0 + 1e-6),
+    ])
+    def test_guards_same_as_unmerged_run(self, error, overrides, scale):
+        # every class of omega T / 2 pi = 1/9 has at most two rows, so a
+        # 1-ulp change to one row of each leaves nothing to merge
+        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        cfg = _config(grid=grid, mode="kicked", kick_period=_class_period(0.8, 1, 9),
+                      **overrides)
+        merged, _, _ = _free_state(grid=grid)
+        merged.amplitudes *= scale
+        unmerged = merged.copy()
+        bits = unmerged.amplitudes.view(np.float64)
+        peak = np.argmax(np.abs(merged.amplitudes[0]))
+        bits[9:, 2 * peak] = np.nextafter(bits[9:, 2 * peak], np.inf)
+        assert _class_count(cfg.clock, cfg.kick_period, merged.amplitudes) == 9
+        assert _class_count(cfg.clock, cfg.kick_period, unmerged.amplitudes) == 17
+        messages = []
+        for state in (unmerged, merged):
+            for workers in (1, 2, 4):
+                with pytest.raises(error) as info:
+                    evolve_kicked(cfg, initial_state=state, workers=workers)
+                messages.append(str(info.value))
+        assert messages == [messages[0]] * 6
+        if error is BoundaryLeakError:
+            assert not messages[0].endswith("at t=0")
 
 
 class TestRunExperiment:
