@@ -172,14 +172,26 @@ def mean_reading(
     return mean_angle * period / (2.0 * math.pi)
 
 
+def same_grid(a: DistributionSeries, b: DistributionSeries) -> bool:
+    """True when both series sample one time grid (to 1e-12 absolute)."""
+    return a.times.shape == b.times.shape and bool(
+        np.allclose(a.times, b.times, rtol=0.0, atol=1e-12)
+    )
+
+
 def distribution_distance(
     a: DistributionSeries, b: DistributionSeries
 ) -> tuple[float, float]:
     """Kolmogorov-Smirnov-style sup |C_a - C_b| and L1 density distance."""
-    if a.times.shape != b.times.shape or not np.allclose(
-        a.times, b.times, rtol=0.0, atol=1e-12
-    ):
+    if not same_grid(a, b):
         raise ValueError("distribution_distance requires identical time grids")
+    return grid_distance(a, b)
+
+
+def grid_distance(
+    a: DistributionSeries, b: DistributionSeries
+) -> tuple[float, float]:
+    """`distribution_distance` of two series that `same_grid` has accepted."""
     sup_cdf = float(np.max(np.abs(a.cdf - b.cdf)))
     l1 = float(np.trapezoid(np.abs(a.density - b.density), a.times))
     return sup_cdf, l1

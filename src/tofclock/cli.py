@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import itertools
 import sys
+from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +86,25 @@ def regime_warnings(config: ExperimentConfig, report: RegimeReport) -> list[str]
     return warnings
 
 
+def _csv_lines(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
+    """The lines of a CSV table, every value as ``%.17g`` (one ``%`` per row)."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = map(np.ndarray.tolist, np.column_stack(columns))
+    return itertools.chain([",".join(header) + "\n"],
+                           (line % tuple(row) for row in rows))
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    # streamed row by row: a wide table is never held as one string
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(_csv_lines(header, columns))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_hashed(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8 and return the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def cmd_run(
@@ -115,22 +129,20 @@ def cmd_run(
         ("workers", str(workers)),
         ("note.parameters", IMPLEMENTATION_CHOICE_NOTE),
     ]
-    data_files = []
+    digests: dict[str, str] = {}  # SHA-256 of each data file, in manifest order
 
     if config.mode == "ideal-reference":
         series = result.ideal
-        _write_csv(out_dir / "ideal_dwell.csv", ["t", "density", "cdf"],
-                   [series.times, series.density, series.cdf])
-        data_files.append("ideal_dwell.csv")
-        manifest.append(("mass.ideal_dwell.csv", f"{series.total_mass:.17g}"))
+        data_name = "ideal_dwell.csv"
     else:
         series = analysis.state_tof_distribution(
             result.final_state, theta_points, label=label or config.mode
         )
-        _write_csv(out_dir / "tof_density.csv", ["t", "density", "cdf"],
-                   [series.times, series.density, series.cdf])
-        data_files.append("tof_density.csv")
-        manifest.append(("mass.tof_density.csv", f"{series.total_mass:.17g}"))
+        data_name = "tof_density.csv"
+    digests[data_name] = _write_hashed(out_dir / data_name, "".join(_csv_lines(
+        ["t", "density", "cdf"], [series.times, series.density, series.cdf])))
+    manifest.append((f"mass.{data_name}", f"{series.total_mass:.17g}"))
+    if config.mode != "ideal-reference":
         trans = analysis.transmission_report(result.final_state, config.region)
         manifest += [
             ("diag.norm_drift", f"{result.norm_drift:.17g}"),
@@ -142,15 +154,13 @@ def cmd_run(
             ("transmission.right", f"{trans.total_right:.17g}"),
         ]
 
-    (out_dir / "config.txt").write_text(emit_config(config), encoding="utf-8")
-    (out_dir / "regime.txt").write_text(regime_text(report), encoding="utf-8")
-    data_files += ["config.txt", "regime.txt"]
+    digests["config.txt"] = _write_hashed(out_dir / "config.txt", emit_config(config))
+    digests["regime.txt"] = _write_hashed(out_dir / "regime.txt", regime_text(report))
 
     for w in warnings:
         manifest.append(("warning", w))
     manifest.append(("wall_time_s", f"{result.wall_time:.6f}"))
-    for name in data_files:
-        manifest.append((f"file.{name}", _sha256(out_dir / name)))
+    manifest += [(f"file.{name}", digest) for name, digest in digests.items()]
 
     manifest_text = "".join(f"{k} = {v}\n" for k, v in manifest)
     (out_dir / "manifest.txt").write_text(manifest_text, encoding="utf-8")
@@ -176,12 +186,15 @@ def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
 def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
     if len(run_dirs) < 2:
         raise ValueError("compare needs at least two completed runs")
-    series = [_load_run_series(Path(d)) for d in run_dirs]
+    run_dirs = [Path(d) for d in run_dirs]
+    shared = sorted(n for n, k in Counter(d.name for d in run_dirs).items() if k > 1)
+    if shared:
+        raise ValueError("compare labels runs by directory name, which must be "
+                         f"unique; repeated: {', '.join(shared)}")
+    series = [_load_run_series(d) for d in run_dirs]
     base = series[0].times
     for s in series[1:]:
-        if s.times.shape != base.shape or not np.allclose(
-            s.times, base, rtol=0.0, atol=1e-12
-        ):
+        if not analysis.same_grid(series[0], s):
             raise ValueError(
                 f"time grid of {s.label} does not match {series[0].label}"
             )
@@ -196,7 +209,7 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
         fh.write("a,b,sup_cdf,l1_density\n")
         for i, a in enumerate(series):
             for b in series[i + 1:]:
-                sup_cdf, l1 = analysis.distribution_distance(a, b)
+                sup_cdf, l1 = analysis.grid_distance(a, b)  # grids checked above
                 fh.write(f"{a.label},{b.label},{sup_cdf:.17g},{l1:.17g}\n")
     print(f"comparison written: {out_dir}")
     return out_dir
@@ -220,6 +233,7 @@ def _resolve_config(args) -> ExperimentConfig:
     return config
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tofclock",

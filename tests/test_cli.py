@@ -1,11 +1,21 @@
+import hashlib
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tofclock as tc
+from tofclock.analysis import DistributionSeries, distribution_distance
 from tofclock.cli import (
+    _csv_lines,
+    _write_csv,
+    _write_hashed,
     cmd_compare,
     cmd_run,
     main,
@@ -148,6 +158,41 @@ class TestRegimeText:
         assert regime_warnings(fast, validate_regime(fast)) == []
 
 
+def _per_value_csv(header, columns):
+    """Reference rendering of a CSV table: one ``.17g`` format call per value."""
+    lines = [",".join(header) + "\n"]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+_CSV_EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                    2.2250738585072009e-308, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@st.composite
+def _csv_tables(draw):
+    cols = draw(st.sampled_from([1, 3, 101]))
+    rows = draw(st.integers(0, 6 if cols == 101 else 40))
+    table = draw(arrays(np.float64, (rows, cols), elements=st.one_of(
+        st.sampled_from(_CSV_EDGE_VALUES), st.floats(allow_subnormal=True))))
+    return [f"c{k}" for k in range(cols)], [table[:, k].copy() for k in range(cols)]
+
+
+class TestCsvOutput:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_csv_tables())
+    def test_bytes_match_per_value_formatting(self, tmp_path_factory, table):
+        header, columns = table
+        expected = _per_value_csv(header, columns)
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == expected
+        digest = _write_hashed(path, "".join(_csv_lines(header, columns)))
+        assert path.read_bytes() == expected
+        assert digest == hashlib.sha256(expected).hexdigest()
+
+
 class TestCmdRun:
     def test_outputs(self, tmp_path):
         out = cmd_run(_small_config(), tmp_path / "run", label="small")
@@ -171,8 +216,6 @@ class TestCmdRun:
         assert "workers = 3\n" in (three / "manifest.txt").read_text()
 
     def test_manifest_checksums_match(self, tmp_path):
-        import hashlib
-
         out = cmd_run(_small_config(), tmp_path / "run")
         manifest = dict(
             line.split(" = ", 1)
@@ -231,6 +274,48 @@ class TestCmdCompare:
         b = cmd_run(_small_config(clock=tc.ClockSpec(0.7, 6)), tmp_path / "b")
         with pytest.raises(ValueError, match="time grid"):
             cmd_compare([a, b], tmp_path / "cmp")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_rows_equal_distribution_distance(self, tmp_path):
+        # enough pairs that a kernel summing in another order changes a bit
+        configs = dict(
+            a=_small_config(),
+            b=_small_config(kick_period=1.0),
+            c=_small_config(),  # same as a
+            d=_small_config(mode="ideal-reference", kick_period=None),
+            e=_small_config(mode="continuous", kick_period=None),
+            f=_small_config(kick_period=0.7),
+            g=_small_config(kick_period=0.3),
+        )
+        runs = [cmd_run(cfg, tmp_path / name) for name, cfg in configs.items()]
+        series = []
+        for run in runs:
+            name = "ideal_dwell.csv" if run.name == "d" else "tof_density.csv"
+            data = np.loadtxt(run / name, delimiter=",", skiprows=1)
+            series.append(DistributionSeries(data[:, 0], data[:, 1], data[:, 2],
+                                             label=run.name))
+        expected = ["a,b,sup_cdf,l1_density"]
+        for i, a in enumerate(series):
+            for b in series[i + 1:]:
+                sup_cdf, l1 = distribution_distance(a, b)
+                expected.append(f"{a.label},{b.label},{sup_cdf:.17g},{l1:.17g}")
+        out = cmd_compare(runs, tmp_path / "cmp")
+        assert (out / "distances.csv").read_text().splitlines() == expected
+        assert "a,c,0,0" in expected
+
+    def test_rejects_repeated_directory_names(self, tmp_path, capsys):
+        x = cmd_run(_small_config(), tmp_path / "x" / "run")
+        y = cmd_run(_small_config(kick_period=1.0), tmp_path / "y" / "run")
+        z = cmd_run(_small_config(), tmp_path / "z")
+        out = tmp_path / "cmp"
+        assert main(["compare", str(x), str(z), str(y), "--out", str(out)]) == 2
+        assert "unique; repeated: run" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _without_wall_time(manifest: bytes) -> bytes:
+    return b"".join(line for line in manifest.splitlines(keepends=True)
+                    if not line.startswith(b"wall_time_s = "))
 
 
 class TestMain:
@@ -265,6 +350,31 @@ class TestMain:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert "error: boundary occupancy" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_parser_per_process_keeps_calls_apart(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(emit_config(_small_config()), encoding="utf-8")
+        run = ["run", "--config", str(path), "--out"]
+        assert main([*run, str(tmp_path / "kick0"), "--kick-at-zero"]) == 0
+        assert main([*run, str(tmp_path / "plain")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--theta-points", "many"])
+        assert exc.value.code == 2
+        assert main([*run, str(tmp_path / "after_error")]) == 0
+        assert load_config(tmp_path / "kick0" / "config.txt").kick_at_zero is True
+        assert load_config(tmp_path / "plain" / "config.txt").kick_at_zero is False
+
+        env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).parents[1]))
+        for out, flag in (("kick0", ["--kick-at-zero"]), ("plain", [])):
+            fresh = tmp_path / f"fresh_{out}"
+            subprocess.run([sys.executable, "-m", "tofclock.cli", *run, str(fresh),
+                            *flag], check=True, env=env, capture_output=True)
+            for name in ("tof_density.csv", "config.txt", "regime.txt", "manifest.txt"):
+                want = _without_wall_time((fresh / name).read_bytes())
+                assert _without_wall_time((tmp_path / out / name).read_bytes()) == want
+                if out == "plain":
+                    got = (tmp_path / "after_error" / name).read_bytes()
+                    assert _without_wall_time(got) == want
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_nonpositive_workers_exit_two(self, tmp_path, capsys, workers):
