@@ -25,8 +25,6 @@ from tofclock import analysis
 from tofclock.presets import get_preset
 from tofclock.propagators import run_experiment
 
-THETA_POINTS = 1024
-
 
 def run_preset(name: str, grid: tc.SpatialGrid, dt: float) -> analysis.DistributionSeries:
     cfg = dataclasses.replace(get_preset(name), grid=grid, dt=dt)
@@ -34,9 +32,7 @@ def run_preset(name: str, grid: tc.SpatialGrid, dt: float) -> analysis.Distribut
     if cfg.mode == "ideal-reference":
         series = result.ideal
     else:
-        series = analysis.state_tof_distribution(
-            result.final_state, THETA_POINTS, label=name
-        )
+        series = analysis.state_tof_distribution(result.final_state, label=name)
         print(
             f"  {name}: norm drift {result.norm_drift:.1e}, "
             f"residual region mass {result.region_mass_final:.1e}, "
@@ -56,7 +52,7 @@ def main() -> None:
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    grid = tc.build_grid(-250.0, 150.0, 2**11 if args.fast else 2**12)
+    grid = tc.SpatialGrid(-250.0, 150.0, 2**11 if args.fast else 2**12)
     dt = 0.02 if args.fast else 0.01
 
     print("running experiments...")

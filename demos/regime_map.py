@@ -33,12 +33,12 @@ def ideal_mean(cfg: tc.ExperimentConfig) -> float:
 
 def measured_mean(cfg: tc.ExperimentConfig) -> float:
     result = run_experiment(cfg)
-    series = analysis.state_tof_distribution(result.final_state, 1024)
+    series = analysis.state_tof_distribution(result.final_state)
     return mean_reading(series)
 
 
 def main() -> None:
-    grid = tc.build_grid(-250.0, 150.0, 2**11)
+    grid = tc.SpatialGrid(-250.0, 150.0, 2**11)
     base = dataclasses.replace(
         get_preset("fig1-continuous"), grid=grid, dt=0.02, region_mass_tol=0.2
     )
@@ -49,7 +49,7 @@ def main() -> None:
     for p0 in (5.0, 10.0, 25.0):
         t_f = 50.0 / p0
         # the grid must resolve momenta well beyond p0 (k_max = pi/dx)
-        fine = tc.build_grid(-250.0, 150.0, 2**12)
+        fine = tc.SpatialGrid(-250.0, 150.0, 2**12)
         cfg = dataclasses.replace(
             base,
             grid=fine if p0 > 12.0 else base.grid,

@@ -9,7 +9,6 @@ from .core import (
     RegionSpec,
     SpatialGrid,
     WavepacketSpec,
-    build_grid,
     classical_tof,
     init_clock_hand,
     init_gaussian,

@@ -12,7 +12,7 @@ equals the exact integral over the period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -20,6 +20,7 @@ from scipy.integrate import cumulative_trapezoid
 from .core import ChannelState, ClockSpec, RegionSpec, row_sums
 
 NEGATIVE_DENSITY_TOL = 1e-12
+THETA_POINTS = 1024  # default sampling of the reading grid
 
 
 def overlap_matrix(state: ChannelState) -> np.ndarray:
@@ -32,23 +33,32 @@ def overlap_matrix(state: ChannelState) -> np.ndarray:
     return (a @ a.conj().T) * state.grid.dx
 
 
-def theta_distribution(
-    state: ChannelState, theta_points: int = 1024
-) -> tuple[np.ndarray, np.ndarray]:
-    """Angular density of the clock, sampled on a closed grid [0, 2*pi].
+def theta_grid(clock: ClockSpec, theta_points: int) -> np.ndarray:
+    """Closed reading grid [0, 2*pi] of theta_points intervals, the one
+    grid of every clock and ideal reading (times are theta/omega).
 
-    P(theta) = sum_{nn'} exp(i(n-n')theta) O[n,n'] / (2*pi); integrates to
-    the state norm.  Requires theta_points >= 2N (Nyquist for the N-mode
-    trigonometric polynomial).
+    Requires theta_points >= 2N (Nyquist for the N-mode trigonometric
+    polynomial of the clock's angular density).
     """
-    n_modes = state.clock.n_modes
+    n_modes = clock.n_modes
     if theta_points < 2 * n_modes:
         raise ValueError(
             f"theta_points={theta_points} undersamples the {n_modes}-mode "
             f"density; need at least {2 * n_modes}"
         )
+    return np.linspace(0.0, 2.0 * math.pi, theta_points + 1)
+
+
+def theta_distribution(
+    state: ChannelState, theta_points: int = THETA_POINTS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angular density of the clock, sampled on `theta_grid`.
+
+    P(theta) = sum_{nn'} exp(i(n-n')theta) O[n,n'] / (2*pi); integrates to
+    the state norm.
+    """
+    theta = theta_grid(state.clock, theta_points)
     overlaps = overlap_matrix(state)
-    theta = np.linspace(0.0, 2.0 * math.pi, theta_points + 1)
     phases = np.exp(1j * np.outer(theta, state.clock.modes))
     density = np.einsum("tm,tm->t", phases @ overlaps, phases.conj()).real
     density /= 2.0 * math.pi
@@ -113,7 +123,7 @@ def tof_distribution(
 
 
 def state_tof_distribution(
-    state: ChannelState, theta_points: int = 1024, label: str = ""
+    state: ChannelState, theta_points: int = THETA_POINTS, label: str = ""
 ) -> DistributionSeries:
     theta, density = theta_distribution(state, theta_points)
     return tof_distribution(theta, density, state.clock, label=label)

@@ -23,11 +23,9 @@ import numpy as np
 
 from . import analysis
 from .config_io import ConfigError, emit_config, load_config
-from .core import ExperimentConfig, RegimeReport, validate_regime
+from .core import DOMINANCE_FACTOR, ExperimentConfig, RegimeReport, validate_regime
 from .presets import IMPLEMENTATION_CHOICE_NOTE, get_preset, preset_names
 from .propagators import PropagationError, resolve_workers, run_experiment
-
-DEFAULT_THETA_POINTS = 1024
 
 
 def _verdict(flag: bool | None) -> str:
@@ -40,7 +38,7 @@ def regime_text(report: RegimeReport) -> str:
     lines = [
         f"energy E = {report.energy:.17g}",
         f"continuous scale pi*hbar/tau = {report.resolution_scale:.17g}",
-        f"dominance factor = {report.dominance_factor:.17g}",
+        f"dominance factor = {DOMINANCE_FACTOR:.17g}",
         "continuous clock energy condition "
         f"(E >> pi*hbar/tau): {_verdict(report.continuous_ok)}",
         f"classical time of flight t_f = {report.classical_time:.17g}",
@@ -111,10 +109,11 @@ def cmd_run(
     config: ExperimentConfig,
     out_dir: Path,
     workers: int | None = None,
-    theta_points: int = DEFAULT_THETA_POINTS,
+    theta_points: int = analysis.THETA_POINTS,
     label: str = "",
 ) -> Path:
     workers = resolve_workers(workers)
+    analysis.theta_grid(config.clock, theta_points)  # checked before propagating
     result = run_experiment(config, workers=workers, theta_points=theta_points)
     # made only now, so that a failed run leaves no empty run directory
     out_dir = Path(out_dir)
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=None,
                      help="clock-channel blocks propagated in parallel "
                      "(default: every available core); outputs do not depend on it")
-    run.add_argument("--theta-points", type=int, default=DEFAULT_THETA_POINTS)
+    run.add_argument("--theta-points", type=int, default=analysis.THETA_POINTS)
     run.add_argument("--kick-at-zero", action="store_true",
                      help="also kick at t = 0 (kicked mode)")
 

@@ -7,10 +7,17 @@ dimensional sanity checks remain possible).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+# "much greater than" in the regime conditions: E >= DOMINANCE_FACTOR * scale
+DOMINANCE_FACTOR = 10.0
+# largest negative-momentum weight of a packet: the dwell map t = m*d/p needs p > 0
+NEG_MOMENTUM_MAX = 1e-6
+# a packet starts more than this many sigma from either grid edge
+_SUPPORT_MARGIN = 8.0
 
 
 @dataclass(frozen=True)
@@ -161,10 +168,6 @@ class SpatialGrid:
         return slice(lo, hi)
 
 
-def build_grid(x_min: float, x_max: float, num_points: int) -> SpatialGrid:
-    return SpatialGrid(x_min, x_max, num_points)
-
-
 def row_sums(amps: np.ndarray, *columns: slice) -> np.ndarray:
     """Per-row sums of |amps|^2 over each (step 1) column slice: a
     (len(columns), rows) array, built without temporaries."""
@@ -219,21 +222,18 @@ class ChannelState:
 
 
 def init_gaussian(
-    spec: WavepacketSpec,
-    grid: SpatialGrid,
-    hbar: float = 1.0,
-    support_margin: float = 8.0,
+    spec: WavepacketSpec, grid: SpatialGrid, hbar: float = 1.0
 ) -> np.ndarray:
     """Normalized Gaussian amplitude exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
 
     Normalization is discrete: sum |psi|^2 dx = 1.
     """
-    if spec.x0 - grid.x_min <= support_margin * spec.sigma:
+    if spec.x0 - grid.x_min <= _SUPPORT_MARGIN * spec.sigma:
         raise ValueError(
             f"packet too close to left grid edge: x0={spec.x0}, "
             f"x_min={grid.x_min}, sigma={spec.sigma}"
         )
-    if grid.x_max - spec.x0 <= support_margin * spec.sigma:
+    if grid.x_max - spec.x0 <= _SUPPORT_MARGIN * spec.sigma:
         raise ValueError(
             f"packet too close to right grid edge: x0={spec.x0}, "
             f"x_max={grid.x_max}, sigma={spec.sigma}"
@@ -328,11 +328,8 @@ class ExperimentConfig:
     dt: float | None = None
     kick_period: float | None = None
     kick_at_zero: bool = False
-    neg_momentum_threshold: float = 1e-6
-    dominance_factor: float = 10.0
     region_mass_tol: float = 1e-4
     boundary_mass_tol: float = 1e-4
-    snapshots: int = 20
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -358,10 +355,10 @@ class ExperimentConfig:
             if not self.region.x_left < self.packet.x0 < self.region.x_right:
                 raise ValueError("placement='inside' requires x0 inside the region")
         w = self.packet.negative_momentum_weight(self.physical.hbar)
-        if w > self.neg_momentum_threshold:
+        if w > NEG_MOMENTUM_MAX:
             raise ValueError(
                 f"negative-momentum weight {w:.3e} exceeds threshold "
-                f"{self.neg_momentum_threshold:.3e}"
+                f"{NEG_MOMENTUM_MAX:.3e}"
             )
         if self.dt is None:
             tf = classical_tof(self.region.width, self.packet.p0, self.physical.m)
@@ -384,7 +381,7 @@ class ExperimentConfig:
 class RegimeReport:
     """Pure report on the validity conditions of the clock configuration.
 
-    Verdicts use `dominance_factor` wherever a strict inequality stands in
+    Verdicts use `DOMINANCE_FACTOR` wherever a strict inequality stands in
     for "much greater than"; the raw ratios are always included so callers
     can apply their own policy.
     """
@@ -392,7 +389,6 @@ class RegimeReport:
     energy: float
     resolution_scale: float               # pi*hbar/tau
     continuous_ok: bool
-    dominance_factor: float
     classical_time: float
     clock_period: float
     max_time_ok: bool                # classical tof below 2*pi/omega
@@ -415,8 +411,7 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
     clock = config.clock
     energy = config.packet.p0**2 / (2.0 * phys.m)
     resolution_scale = math.pi * phys.hbar / clock.tau
-    factor = config.dominance_factor
-    continuous_ok = energy >= factor * resolution_scale
+    continuous_ok = energy >= DOMINANCE_FACTOR * resolution_scale
     t_cl = config.classical_time
     period = clock.period
     degenerate = clock.j == 0
@@ -437,13 +432,12 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
             modular_phase(int(n), clock, T, phys.hbar)[1] for n in clock.modes
         ]
         max_mod = max(scales)
-        kicked_ok = energy >= factor * max_mod if max_mod > 0 else True
+        kicked_ok = energy >= DOMINANCE_FACTOR * max_mod if max_mod > 0 else True
 
     return RegimeReport(
         energy=energy,
         resolution_scale=resolution_scale,
         continuous_ok=continuous_ok,
-        dominance_factor=factor,
         classical_time=t_cl,
         clock_period=period,
         max_time_ok=t_cl < period,

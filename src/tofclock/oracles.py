@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (
+    NEG_MOMENTUM_MAX,
     ClockSpec,
     ExperimentConfig,
     RegionSpec,
@@ -183,7 +184,6 @@ def ideal_dwell(
     m: float,
     times: np.ndarray,
     hbar: float = 1.0,
-    neg_momentum_threshold: float = 1e-6,
     label: str = "ideal",
 ) -> DistributionSeries:
     """Ideal dwell-time distribution: push-forward of the momentum density
@@ -193,9 +193,9 @@ def ideal_dwell(
     the positive-momentum weight of P, which must be ~1.
     """
     w = spec.negative_momentum_weight(hbar)
-    if w > neg_momentum_threshold:
+    if w > NEG_MOMENTUM_MAX:
         raise ValueError(
-            f"negative-momentum weight {w:.3e} exceeds {neg_momentum_threshold:.3e}; "
+            f"negative-momentum weight {w:.3e} exceeds {NEG_MOMENTUM_MAX:.3e}; "
             "the dwell-time map p -> m*d/p needs positive momenta"
         )
     d = region.width

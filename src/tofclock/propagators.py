@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
+from . import analysis, oracles
 from .core import (
     ChannelState,
     ClockSpec,
@@ -118,6 +119,7 @@ def _initial_state(config: ExperimentConfig) -> ChannelState:
 # rows fig1-kicked-T1 keeps after merging kick classes (69 against 60 ms)
 _MIN_BLOCK_VALUES = 2**16
 _NORM_TOL = 1e-8
+_SNAPSHOTS = 20  # guard checks in a continuous run, besides the initial one
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -250,7 +252,7 @@ def evolve_continuous(
     # mid-run guard samples carry the next step's leading half phase, which
     # does not affect any of the |.|^2 diagnostics
     segments = [(dt, dt)] * (n_steps - 1) + [(dt, 0.5 * dt)]
-    check_every = max(1, n_steps // max(1, config.snapshots))
+    check_every = max(1, n_steps // _SNAPSHOTS)
     state = (initial_state if initial_state is not None else _initial_state(config)).copy()
     diagnostics = _run_schedule(config, state.amplitudes, config.clock.modes, None,
                                 0.5 * dt, segments, check_every, workers)
@@ -369,12 +371,13 @@ class RunResult:
 def run_experiment(
     config: ExperimentConfig,
     workers: int | None = None,
-    theta_points: int = 1024,
+    theta_points: int = analysis.THETA_POINTS,
 ) -> RunResult:
     """Dispatch to the configured engine and collect diagnostics.
 
     `workers` is the number of channel blocks propagated in parallel
     (default: every available core); it does not change any result.
+    `theta_points` sets the `analysis.theta_grid` of an ideal reading.
     Raises CollisionUnfinishedError if the region occupancy at t_final is
     above config.region_mass_tol (the collision is not over and clock
     readings would still be accruing).
@@ -384,9 +387,8 @@ def run_experiment(
     t0 = _time.perf_counter()
 
     if config.mode == "ideal-reference":
-        from . import oracles  # local import: oracles depends on analysis
-
-        times = ideal_time_grid(config.clock, theta_points)
+        # the clock runs' grid: tof_distribution maps theta to theta/omega
+        times = analysis.theta_grid(config.clock, theta_points) / config.clock.omega
         dist = oracles.ideal_dwell(
             config.packet, config.region, config.physical.m, times,
             hbar=config.physical.hbar,
@@ -419,8 +421,3 @@ def run_experiment(
             f"{config.t_final:g} exceeds tolerance {config.region_mass_tol:.1e}"
         )
     return result
-
-
-def ideal_time_grid(clock: ClockSpec, theta_points: int) -> np.ndarray:
-    """Closed uniform time grid [0, 2*pi/omega] shared by all distributions."""
-    return np.linspace(0.0, clock.period, theta_points + 1)

@@ -7,7 +7,7 @@ import pytest
 import tofclock as tc
 from tofclock import analysis, oracles
 from tofclock.presets import get_preset
-from tofclock.propagators import ideal_time_grid, run_experiment
+from tofclock.propagators import run_experiment
 
 ACCEPTANCE_GRID = tc.SpatialGrid(-250.0, 150.0, 2**12)
 
@@ -20,7 +20,7 @@ def small_base():
         region=tc.RegionSpec(-8.0, 8.0),
         clock=tc.ClockSpec(0.8, 8),
         packet=tc.WavepacketSpec(1.0, -15.0, 5.0),
-        grid=tc.build_grid(-40.0, 40.0, 2**9),
+        grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
         t_final=5.0,
         region_mass_tol=1.0,
         boundary_mass_tol=1.0,
@@ -59,5 +59,5 @@ def fig1_kicked_series(fig1_kicked_run):
 @pytest.fixture(scope="session")
 def fig1_ideal_series():
     cfg = get_preset("fig1-continuous")
-    times = ideal_time_grid(cfg.clock, 1024)
+    times = analysis.theta_grid(cfg.clock, 1024) / cfg.clock.omega
     return oracles.ideal_dwell(cfg.packet, cfg.region, cfg.physical.m, times)

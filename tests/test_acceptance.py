@@ -23,7 +23,6 @@ from tofclock.presets import get_preset
 from tofclock.propagators import (
     evolve_continuous,
     evolve_kicked,
-    ideal_time_grid,
     kinetic_step,
     run_experiment,
 )
@@ -43,7 +42,7 @@ def _small_config(**overrides):
         region=tc.RegionSpec(-8.0, 8.0),
         clock=tc.ClockSpec(0.8, 8),
         packet=tc.WavepacketSpec(1.0, -15.0, 5.0),
-        grid=tc.build_grid(-40.0, 40.0, 2**9),
+        grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
         mode="continuous",
         t_final=4.0,
         dt=0.02,
@@ -68,7 +67,7 @@ def test_criterion_01_unitarity_and_runtime(fig1_cont_run):
 
 def test_criterion_02_free_motion_exact():
     spec = tc.WavepacketSpec(1.0, -15.0, 5.0)
-    grid = tc.build_grid(-60.0, 100.0, 2**10)
+    grid = tc.SpatialGrid(-60.0, 100.0, 2**10)
     clock = tc.ClockSpec(0.8, 4)
     state = tc.product_state(tc.init_gaussian(spec, grid), clock, grid)
     for _ in range(50):
@@ -136,7 +135,7 @@ def test_criterion_05_stationary_scattering():
     clock = tc.ClockSpec(omega, 5)
     region = tc.RegionSpec(-1.0, 1.0)
     packet = tc.WavepacketSpec(10.0, -100.0, 3.0)
-    grid = tc.build_grid(-400.0, 400.0, 2**12)
+    grid = tc.SpatialGrid(-400.0, 400.0, 2**12)
     cfg = tc.ExperimentConfig(
         physical=tc.PhysicalConfig(), region=region, clock=clock,
         packet=packet, grid=grid, mode="continuous", t_final=50.0, dt=0.01,

@@ -20,7 +20,7 @@ from tofclock.propagators import kinetic_step
 
 
 CLOCK = tc.ClockSpec(0.8, 8)
-GRID = tc.build_grid(-40.0, 40.0, 2**9)
+GRID = tc.SpatialGrid(-40.0, 40.0, 2**9)
 SPEC = tc.WavepacketSpec(1.0, -15.0, 5.0)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tofclock as tc
+from tofclock import propagators
 from tofclock.analysis import DistributionSeries, distribution_distance
 from tofclock.cli import (
     _csv_lines,
@@ -28,7 +29,7 @@ from tofclock.config_io import (
     load_config,
     parse_config_text,
 )
-from tofclock.core import validate_regime
+from tofclock.core import MODES, PLACEMENTS, validate_regime
 from tofclock.presets import get_preset, preset_names
 
 
@@ -38,7 +39,7 @@ def _small_config(**overrides):
         region=tc.RegionSpec(-6.0, 6.0),
         clock=tc.ClockSpec(0.9, 6),
         packet=tc.WavepacketSpec(1.0, -14.0, 5.0),
-        grid=tc.build_grid(-40.0, 40.0, 2**9),
+        grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
         mode="kicked",
         kick_period=0.5,
         t_final=6.0,
@@ -105,6 +106,68 @@ class TestConfigIO:
         text = emit_config(cfg)
         assert "kick_at_zero = true" in text
         assert parse_config_text(text).kick_at_zero is True
+
+    @pytest.mark.parametrize("key, value", [("snapshots", "20"),
+                                            ("dominance_factor", "10"),
+                                            ("neg_momentum_threshold", "1e-3")])
+    def test_fixed_policies_are_not_keys(self, tmp_path, capsys, key, value):
+        # older config.txt files carry these; their values are now constants
+        text = emit_config(_small_config()).replace("[run]\n", f"[run]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(text)
+        path, out = tmp_path / "old.cfg", tmp_path / "out"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+@st.composite
+def _configs(draw, mode, placement):
+    """A valid ExperimentConfig of the given mode and placement."""
+    f = st.floats  # both bounds given: no nan, no infinity
+    x_left, width = draw(f(-40.0, 0.0)), draw(f(0.5, 40.0))
+    region = tc.RegionSpec(x_left, x_left + width)
+    if placement == "outside":
+        x0 = x_left - draw(f(0.1, 30.0))
+    else:
+        x0 = x_left + draw(f(0.01, 0.99)) * width
+    t_final = draw(f(0.5, 100.0))
+    if mode == "kicked":
+        kick_period = draw(f(0.01, 1.0)) * t_final
+    else:
+        kick_period = draw(st.none() | f(0.01, 10.0))
+    return tc.ExperimentConfig(
+        physical=tc.PhysicalConfig(draw(f(0.1, 10.0)), draw(f(0.5, 2.0))),
+        region=region,
+        clock=tc.ClockSpec(draw(f(0.01, 10.0)), draw(st.integers(0, 60))),
+        # p0 / momentum_std >= 5: negative-momentum weight below 3e-7
+        packet=tc.WavepacketSpec(draw(f(0.5, 3.0)), x0, draw(f(10.0, 40.0))),
+        grid=tc.SpatialGrid(draw(f(-500.0, -50.0)), draw(f(50.0, 500.0)),
+                            2 ** draw(st.integers(3, 14))),
+        mode=mode,
+        t_final=t_final,
+        placement=placement,
+        dt=draw(st.none() | f(1e-4, 1.0)),
+        kick_period=kick_period,
+        kick_at_zero=draw(st.booleans()),
+        region_mass_tol=draw(f(1e-8, 1.0)),
+        boundary_mass_tol=draw(f(1e-8, 1.0)),
+    )
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_emit_parse_round_trip(self, mode, placement):
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(_configs(mode, placement))
+        def check(cfg):
+            text = emit_config(cfg)
+            assert parse_config_text(text) == cfg
+            assert emit_config(parse_config_text(text)) == text
+
+        check()
 
 
 class TestPresets:
@@ -236,6 +299,18 @@ class TestCmdRun:
         out = cmd_run(cfg, tmp_path / "ideal")
         assert (out / "ideal_dwell.csv").exists()
         assert not (out / "tof_density.csv").exists()
+
+    def test_ideal_and_clock_runs_share_time_grid(self, tmp_path):
+        clock = cmd_run(_small_config(), tmp_path / "clock")
+        ideal = cmd_run(_small_config(mode="ideal-reference", kick_period=None),
+                        tmp_path / "ideal")
+
+        def t_column(path):
+            return [line.split(",", 1)[0] for line in path.read_text().splitlines()]
+
+        t = t_column(ideal / "ideal_dwell.csv")
+        assert len(t) == 1026
+        assert t == t_column(clock / "tof_density.csv")
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = _small_config()
@@ -375,6 +450,31 @@ class TestMain:
                 if out == "plain":
                     got = (tmp_path / "after_error" / name).read_bytes()
                     assert _without_wall_time(got) == want
+
+    @pytest.mark.parametrize("preset", ["fig1-kicked-T5", "fig1-continuous"])
+    def test_undersampled_theta_points_rejected_before_propagating(
+        self, tmp_path, capsys, monkeypatch, preset
+    ):
+        def no_flight(*args):
+            raise AssertionError("propagated before checking --theta-points")
+
+        monkeypatch.setattr(propagators, "_free_flight", no_flight)
+        out = tmp_path / "out"
+        argv = ["run", "--preset", preset, "--out", str(out), "--theta-points", "10"]
+        assert main(argv) == 2
+        assert "undersamples the 101-mode density" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta_points", ["0", "10"])
+    def test_undersampled_theta_points_rejected_for_ideal_runs(
+        self, tmp_path, capsys, theta_points
+    ):
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "fig1-ideal", "--out", str(out),
+                "--theta-points", theta_points]
+        assert main(argv) == 2
+        assert "need at least 202" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_nonpositive_workers_exit_two(self, tmp_path, capsys, workers):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tofclock as tc
-from tofclock.core import modular_phase, validate_regime
+from tofclock.core import DOMINANCE_FACTOR, modular_phase, validate_regime
 
 
 class TestSpecs:
@@ -76,26 +76,26 @@ class TestSpecs:
 
 class TestGrid:
     def test_sampling(self):
-        grid = tc.build_grid(0.0, 1.0, 8)
+        grid = tc.SpatialGrid(0.0, 1.0, 8)
         assert grid.dx == pytest.approx(0.125)
         np.testing.assert_allclose(grid.x, 0.125 * np.arange(8), atol=1e-15)
 
     def test_wavenumbers_fft_order(self):
-        grid = tc.build_grid(0.0, 1.0, 8)
+        grid = tc.SpatialGrid(0.0, 1.0, 8)
         expected = 2.0 * math.pi * np.array([0, 1, 2, 3, -4, -3, -2, -1])
         np.testing.assert_allclose(grid.k, expected, rtol=1e-14)
 
     def test_rejects_non_power_of_two(self):
         for n in (0, 7, 12, 100):
             with pytest.raises(ValueError):
-                tc.build_grid(0.0, 1.0, n)
+                tc.SpatialGrid(0.0, 1.0, n)
 
     def test_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
-            tc.build_grid(1.0, 1.0, 16)
+            tc.SpatialGrid(1.0, 1.0, 16)
 
     def test_region_mask_closed_interval(self):
-        grid = tc.build_grid(0.0, 8.0, 8)  # x = 0, 1, ..., 7
+        grid = tc.SpatialGrid(0.0, 8.0, 8)  # x = 0, 1, ..., 7
         mask = grid.region_mask(tc.RegionSpec(2.0, 5.0))
         np.testing.assert_array_equal(np.nonzero(mask)[0], [2, 3, 4, 5])
         # region_slice selects exactly the mask's points: edges on grid
@@ -113,7 +113,7 @@ class TestGrid:
 
 
 class TestInitialState:
-    GRID = tc.build_grid(-40.0, 40.0, 2**10)
+    GRID = tc.SpatialGrid(-40.0, 40.0, 2**10)
     SPEC = tc.WavepacketSpec(sigma=1.5, x0=-10.0, p0=4.0)
 
     def test_norm(self):
@@ -222,7 +222,7 @@ def _fig1_config(**overrides):
         region=tc.RegionSpec(-25.0, 25.0),
         clock=tc.ClockSpec(2.0 * math.pi / 25.0, 50),
         packet=tc.WavepacketSpec(1.0, -30.0, 5.0),
-        grid=tc.build_grid(-250.0, 150.0, 2**10),
+        grid=tc.SpatialGrid(-250.0, 150.0, 2**10),
         mode="continuous",
         t_final=25.0,
     )
@@ -320,7 +320,7 @@ class TestRegimeReport:
         assert report.max_modular_energy is not None
         assert report.max_modular_energy < 2.0 * math.pi / 1.0
         assert report.kicked_ok == (
-            report.energy >= report.dominance_factor * report.max_modular_energy
+            report.energy >= DOMINANCE_FACTOR * report.max_modular_energy
         )
 
     def test_degenerate_clock(self):

@@ -1,18 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfcinv
 
 import tofclock as tc
 from tofclock import oracles
-from tofclock.propagators import evolve_continuous, evolve_kicked, ideal_time_grid
-from tofclock.analysis import hand_density, theta_distribution
+from tofclock.core import NEG_MOMENTUM_MAX
+from tofclock.propagators import evolve_continuous, evolve_kicked, run_experiment
+from tofclock.analysis import hand_density, theta_distribution, theta_grid
 
 
 class TestFreeGaussian:
     SPEC = tc.WavepacketSpec(sigma=1.5, x0=-10.0, p0=4.0)
-    GRID = tc.build_grid(-60.0, 60.0, 2**11)
+    GRID = tc.SpatialGrid(-60.0, 60.0, 2**11)
 
     def test_matches_initial_state_at_t0(self):
         psi0 = tc.init_gaussian(self.SPEC, self.GRID)
@@ -167,6 +170,27 @@ class TestIdealDwell:
                 np.linspace(0.0, 25.0, 101),
             )
 
+    def test_negative_momentum_limit_shared_with_config(self):
+        # p0 a hair above and below the momentum where the weight below
+        # p = 0 is exactly NEG_MOMENTUM_MAX (sigma = 1: momentum std 0.5)
+        edge = 0.5 * math.sqrt(2.0) * erfcinv(2.0 * NEG_MOMENTUM_MAX)
+        under = tc.WavepacketSpec(1.0, -14.0, edge * (1.0 + 1e-4))
+        over = tc.WavepacketSpec(1.0, -14.0, edge * (1.0 - 1e-4))
+        assert under.negative_momentum_weight() < NEG_MOMENTUM_MAX
+        assert over.negative_momentum_weight() > NEG_MOMENTUM_MAX
+        base = dict(
+            physical=tc.PhysicalConfig(), region=tc.RegionSpec(-6.0, 6.0),
+            clock=tc.ClockSpec(0.9, 6), grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
+            mode="ideal-reference", t_final=20.0,
+        )
+        result = run_experiment(tc.ExperimentConfig(packet=under, **base))
+        assert result.ideal.total_mass > 0.0
+        limit = re.escape(f"{NEG_MOMENTUM_MAX:.3e}")
+        with pytest.raises(ValueError, match=f"exceeds threshold {limit}"):
+            tc.ExperimentConfig(packet=over, **base)
+        with pytest.raises(ValueError, match=f"exceeds {limit}"):
+            oracles.ideal_dwell(over, base["region"], 1.0, np.linspace(0.0, 7.0, 101))
+
     def test_momentum_density_normalized(self):
         p = np.linspace(-5.0, 15.0, 20001)
         rho = oracles.momentum_density(self.SPEC, p)
@@ -179,7 +203,7 @@ def _small_config(mode, **overrides):
         region=tc.RegionSpec(-6.0, 6.0),
         clock=tc.ClockSpec(0.9, 6),
         packet=tc.WavepacketSpec(1.0, -14.0, 5.0),
-        grid=tc.build_grid(-40.0, 40.0, 2**9),
+        grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
         mode=mode,
         t_final=4.0,
         dt=0.02,
@@ -192,7 +216,7 @@ def _small_config(mode, **overrides):
 
 class TestThetaGridOracle:
     def test_guards(self):
-        cfg = _small_config("continuous", grid=tc.build_grid(-80.0, 80.0, 2**11))
+        cfg = _small_config("continuous", grid=tc.SpatialGrid(-80.0, 80.0, 2**11))
         with pytest.raises(ValueError):
             oracles.evolve_theta_grid(cfg, 128)
         with pytest.raises(ValueError):
@@ -230,7 +254,7 @@ class TestThetaGridOracle:
 
     def test_ideal_time_grid_closed(self):
         clock = tc.ClockSpec(0.9, 6)
-        times = ideal_time_grid(clock, 64)
+        times = theta_grid(clock, 64) / clock.omega
         assert times.shape == (65,)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(clock.period, rel=1e-15)

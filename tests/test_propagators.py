@@ -29,7 +29,7 @@ def _config(**overrides):
         region=tc.RegionSpec(-8.0, 8.0),
         clock=tc.ClockSpec(0.8, 8),
         packet=tc.WavepacketSpec(1.0, -15.0, 5.0),
-        grid=tc.build_grid(-40.0, 40.0, 2**9),
+        grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
         mode="continuous",
         t_final=5.0,
         dt=0.02,
@@ -42,7 +42,7 @@ def _config(**overrides):
 
 def _free_state(clock=None, grid=None, spec=None):
     clock = clock or tc.ClockSpec(0.8, 8)
-    grid = grid or tc.build_grid(-40.0, 40.0, 2**9)
+    grid = grid or tc.SpatialGrid(-40.0, 40.0, 2**9)
     spec = spec or tc.WavepacketSpec(1.0, -15.0, 5.0)
     psi = tc.init_gaussian(spec, grid)
     return tc.product_state(psi, clock, grid), spec, grid
@@ -303,8 +303,8 @@ class TestScheduleLoop:
     # 17 x 2^14 values split into at most 4 blocks (by size); 5 x 2^16 into
     # at most 2 (two rows or more a block)
     @pytest.mark.parametrize("clock, grid, expected_blocks", [
-        (tc.ClockSpec(0.8, 8), tc.build_grid(-40.0, 40.0, 2**14), [2, 3, 4]),
-        (tc.ClockSpec(0.8, 2), tc.build_grid(-40.0, 40.0, 2**16), [2, 2, 2]),
+        (tc.ClockSpec(0.8, 8), tc.SpatialGrid(-40.0, 40.0, 2**14), [2, 3, 4]),
+        (tc.ClockSpec(0.8, 2), tc.SpatialGrid(-40.0, 40.0, 2**16), [2, 2, 2]),
     ])
     @pytest.mark.parametrize("overrides", [
         dict(t_final=0.1),
@@ -338,7 +338,7 @@ class TestScheduleLoop:
         # the test_boundary_leak_raises config on a grid that splits, with
         # four blocks and frequent thread switches
         cfg = _config(t_final=12.0, boundary_mass_tol=1e-6,
-                      grid=tc.build_grid(-40.0, 40.0, 2**14))
+                      grid=tc.SpatialGrid(-40.0, 40.0, 2**14))
         errors = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -355,7 +355,7 @@ class TestScheduleLoop:
         # rows 0-8 (the first block) head for the left edge, rows 9-16 stay
         # in the middle; the second block is slowed down, yet it stops at
         # the check the first one fails
-        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         clock = tc.ClockSpec(0.8, 8)
         leaving = tc.init_gaussian(tc.WavepacketSpec(1.0, -30.0, -5.0), grid)
         staying = tc.init_gaussian(tc.WavepacketSpec(1.0, 0.0, 0.0), grid)
@@ -392,7 +392,7 @@ class TestScheduleLoop:
             return flight(amps, propagator)
 
         monkeypatch.setattr(propagators, "_free_flight", second_block_fails)
-        cfg = _config(grid=tc.build_grid(-40.0, 40.0, 2**14), mode="kicked",
+        cfg = _config(grid=tc.SpatialGrid(-40.0, 40.0, 2**14), mode="kicked",
                       kick_period=0.01, t_final=1.0)
         with pytest.raises(MemoryError, match="second block"):
             run_experiment(cfg, workers=2)
@@ -403,7 +403,7 @@ class TestScheduleLoop:
         (evolve_kicked, dict(mode="kicked", kick_period=0.03)),
     ])
     def test_norm_drift_same_for_blocks(self, engine, overrides):
-        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         state, _, _ = _free_state(grid=grid)
         state.amplitudes *= 1.001
         cfg = _config(grid=grid, t_final=0.1, **overrides)
@@ -416,7 +416,7 @@ class TestScheduleLoop:
         assert errors[0].endswith("at t=0")
 
     def test_norm_drift_stops_split_blocks_at_once(self, monkeypatch):
-        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         state, _, _ = _free_state(grid=grid)
         state.amplitudes *= 1.001
         cfg = _config(grid=grid, mode="kicked", kick_period=0.03, t_final=3.0)
@@ -433,7 +433,7 @@ class TestScheduleLoop:
 
     def test_row_sums_match_state_masses(self):
         rng = np.random.default_rng(7)
-        clock, grid = tc.ClockSpec(0.8, 3), tc.build_grid(-40.0, 40.0, 2**9)
+        clock, grid = tc.ClockSpec(0.8, 3), tc.SpatialGrid(-40.0, 40.0, 2**9)
         amps = rng.normal(size=(7, 2**9)) + 1j * rng.normal(size=(7, 2**9))
         amps /= math.sqrt(np.sum(np.abs(amps)**2) * grid.dx)
         state = tc.ChannelState(clock, grid, amps)
@@ -479,7 +479,7 @@ def _random_kicked_runs(draw):
         rows = len({(i % p, w) for i, w in enumerate(weights)})
     else:
         omega, rows = draw(st.floats(0.2, 3.0)), n_modes
-    grid = tc.build_grid(-40.0, 40.0, 2**8)
+    grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
     cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
                   kick_period=T, kick_at_zero=draw(st.booleans()))
     weights = np.array(weights) / math.sqrt(np.sum(np.square(weights)))
@@ -552,7 +552,7 @@ class TestKickClasses:
     def test_guards_same_as_unmerged_run(self, error, overrides, scale):
         # every class of omega T / 2 pi = 1/9 has at most two rows, so a
         # 1-ulp change to one row of each leaves nothing to merge
-        grid = tc.build_grid(-40.0, 40.0, 2**14)
+        grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         cfg = _config(grid=grid, mode="kicked", kick_period=_class_period(0.8, 1, 9),
                       **overrides)
         merged, _, _ = _free_state(grid=grid)
