@@ -55,13 +55,16 @@ def theta_distribution(
     """Angular density of the clock, sampled on `theta_grid`.
 
     P(theta) = sum_{nn'} exp(i(n-n')theta) O[n,n'] / (2*pi); integrates to
-    the state norm.
+    the state norm.  Its Fourier coefficients are the diagonal sums
+    c_d = sum_{n-n'=d} O[n,n'], d = 0..2j (c_-d = conj(c_d)), so one inverse
+    real FFT samples it; exact because theta_grid demands M >= 2N > 4j.
     """
     theta = theta_grid(state.clock, theta_points)
     overlaps = overlap_matrix(state)
-    phases = np.exp(1j * np.outer(theta, state.clock.modes))
-    density = np.einsum("tm,tm->t", phases @ overlaps, phases.conj()).real
-    density /= 2.0 * math.pi
+    coeffs = [np.trace(overlaps, -d) for d in range(state.clock.n_modes)]
+    density = np.empty(theta.size)
+    density[:-1] = np.fft.irfft(coeffs, theta_points) * (theta_points / (2.0 * math.pi))
+    density[-1] = density[0]  # theta = 2*pi closes the grid
     return theta, density
 
 
@@ -195,13 +198,6 @@ def distribution_distance(
     """Kolmogorov-Smirnov-style sup |C_a - C_b| and L1 density distance."""
     if not same_grid(a, b):
         raise ValueError("distribution_distance requires identical time grids")
-    return grid_distance(a, b)
-
-
-def grid_distance(
-    a: DistributionSeries, b: DistributionSeries
-) -> tuple[float, float]:
-    """`distribution_distance` of two series that `same_grid` has accepted."""
     sup_cdf = float(np.max(np.abs(a.cdf - b.cdf)))
     l1 = float(np.trapezoid(np.abs(a.density - b.density), a.times))
     return sup_cdf, l1

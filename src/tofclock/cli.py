@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import sys
+import warnings
 from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
@@ -92,6 +93,14 @@ def _csv_lines(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
                            (line % tuple(row) for row in rows))
 
 
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    """``"".join(_csv_lines(header, columns))`` with one ``%`` for the body;
+    for narrow tables, since the body is built as one string."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     # streamed row by row: a wide table is never held as one string
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -138,8 +147,8 @@ def cmd_run(
             result.final_state, theta_points, label=label or config.mode
         )
         data_name = "tof_density.csv"
-    digests[data_name] = _write_hashed(out_dir / data_name, "".join(_csv_lines(
-        ["t", "density", "cdf"], [series.times, series.density, series.cdf])))
+    digests[data_name] = _write_hashed(out_dir / data_name, _csv_text(
+        ["t", "density", "cdf"], [series.times, series.density, series.cdf]))
     manifest.append((f"mass.{data_name}", f"{series.total_mass:.17g}"))
     if config.mode != "ideal-reference":
         trans = analysis.transmission_report(result.final_state, config.region)
@@ -170,11 +179,20 @@ def cmd_run(
     return out_dir
 
 
+_PARTNER_BLOCK = 16  # later runs per compare kernel call; bounds its temporaries
+
+
 def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
     for name in ("tof_density.csv", "ideal_dwell.csv"):
         path = run_dir / name
         if path.exists():
-            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            with warnings.catch_warnings():  # an empty table is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if data.shape[0] < 2 or data.shape[1] != 3:
+                raise ValueError(f"{path} holds {data.shape[0]} rows of "
+                                 f"{data.shape[1]} columns; need t,density,cdf "
+                                 "on at least two rows")
             return analysis.DistributionSeries(
                 times=data[:, 0], density=data[:, 1], cdf=data[:, 2],
                 label=run_dir.name,
@@ -204,12 +222,18 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
                ["t"] + [s.label for s in series],
                [base] + [s.cdf for s in series])
 
+    # `analysis.distribution_distance` of run i against a block of later runs
+    # per kernel call (grids checked above): the same sums, so the same bytes
     with open(out_dir / "distances.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("a,b,sup_cdf,l1_density\n")
         for i, a in enumerate(series):
-            for b in series[i + 1:]:
-                sup_cdf, l1 = analysis.grid_distance(a, b)  # grids checked above
-                fh.write(f"{a.label},{b.label},{sup_cdf:.17g},{l1:.17g}\n")
+            for lo in range(i + 1, len(series), _PARTNER_BLOCK):
+                block = series[lo:lo + _PARTNER_BLOCK]
+                sup_cdf = np.abs(np.array([b.cdf for b in block]) - a.cdf).max(axis=1)
+                l1 = np.trapezoid(np.abs(np.array([b.density for b in block])
+                                         - a.density), a.times, axis=1)
+                fh.writelines(f"{a.label},{b.label},{sup:.17g},{dist:.17g}\n"
+                              for b, sup, dist in zip(block, sup_cdf.tolist(), l1.tolist()))
     print(f"comparison written: {out_dir}")
     return out_dir
 

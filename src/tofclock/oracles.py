@@ -20,7 +20,6 @@ from .core import (
     RegionSpec,
     WavepacketSpec,
     classical_tof,
-    init_gaussian,
 )
 from .analysis import DistributionSeries
 
@@ -256,7 +255,7 @@ def evolve_theta_grid(
     hand = np.exp(1j * np.outer(theta, clock.modes)).sum(axis=1) / math.sqrt(
         2.0 * math.pi * clock.n_modes
     )
-    psi_x = init_gaussian(config.packet, grid, hbar)
+    psi_x = free_gaussian(config.packet, 0.0, grid.x, m, hbar)
     psi = np.outer(psi_x, hand)
 
     chi = grid.region_mask(config.region).astype(float)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tofclock as tc
 from tofclock import analysis
@@ -96,6 +97,31 @@ class TestThetaDistribution:
         state = tc.product_state(psi, clock0, GRID)
         _, density = theta_distribution(state, 64)
         np.testing.assert_allclose(density, 1.0 / (2.0 * math.pi), atol=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(j=st.integers(0, 6), extra=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+    def test_matches_double_sum(self, j, extra, seed):
+        # random (non-product) states; M from the Nyquist floor 2N to 3N + 5
+        clock = tc.ClockSpec(0.8, j)
+        n = clock.n_modes
+        m = 2 * n + extra % (n + 6)
+        grid = tc.SpatialGrid(-4.0, 4.0, 16)
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16))
+        state = tc.ChannelState(clock, grid, amps)
+        theta, density = theta_distribution(state, m)
+
+        O = overlap_matrix(state)
+        expected = np.zeros(m + 1)
+        for k, t in enumerate(theta):
+            expected[k] = sum(
+                (np.exp(1j * (a - b) * t) * O[i, i2]).real
+                for i, a in enumerate(clock.modes)
+                for i2, b in enumerate(clock.modes)
+            ) / (2.0 * math.pi)
+        scale = np.abs(expected).max()
+        assert np.abs(density - expected).max() <= 1e-13 * scale
+        assert density[-1] == density[0]
 
 
 class TestDistributionSeries:

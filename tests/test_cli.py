@@ -12,9 +12,15 @@ from hypothesis.extra.numpy import arrays
 
 import tofclock as tc
 from tofclock import propagators
-from tofclock.analysis import DistributionSeries, distribution_distance
+from tofclock.analysis import (
+    DistributionSeries,
+    cumulative,
+    distribution_distance,
+    state_tof_distribution,
+)
 from tofclock.cli import (
     _csv_lines,
+    _csv_text,
     _write_csv,
     _write_hashed,
     cmd_compare,
@@ -31,6 +37,7 @@ from tofclock.config_io import (
 )
 from tofclock.core import MODES, PLACEMENTS, validate_regime
 from tofclock.presets import get_preset, preset_names
+from tofclock.propagators import run_experiment
 
 
 def _small_config(**overrides):
@@ -254,6 +261,7 @@ class TestCsvOutput:
         digest = _write_hashed(path, "".join(_csv_lines(header, columns)))
         assert path.read_bytes() == expected
         assert digest == hashlib.sha256(expected).hexdigest()
+        assert _csv_text(header, columns).encode("utf-8") == expected
 
 
 class TestCmdRun:
@@ -319,6 +327,19 @@ class TestCmdRun:
         for name in ("tof_density.csv", "config.txt", "regime.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["kicked", "ideal-reference"])
+    def test_table_equals_streamed_lines(self, tmp_path, mode):
+        cfg = _small_config(mode=mode, kick_period=0.5 if mode == "kicked" else None)
+        out = cmd_run(cfg, tmp_path / "run", workers=1)
+        result = run_experiment(cfg, workers=1)
+        if mode == "kicked":
+            name, series = "tof_density.csv", state_tof_distribution(result.final_state)
+        else:
+            name, series = "ideal_dwell.csv", result.ideal
+        want = "".join(_csv_lines(["t", "density", "cdf"],
+                                  [series.times, series.density, series.cdf]))
+        assert (out / name).read_text(encoding="utf-8") == want
+
 
 class TestCmdCompare:
     def test_distances_and_alignment(self, tmp_path):
@@ -352,7 +373,8 @@ class TestCmdCompare:
         assert not (tmp_path / "cmp").exists()
 
     def test_rows_equal_distribution_distance(self, tmp_path):
-        # enough pairs that a kernel summing in another order changes a bit
+        # enough pairs that a kernel summing in another order changes a bit,
+        # and enough runs that the first ones span several partner blocks
         configs = dict(
             a=_small_config(),
             b=_small_config(kick_period=1.0),
@@ -363,12 +385,26 @@ class TestCmdCompare:
             g=_small_config(kick_period=0.3),
         )
         runs = [cmd_run(cfg, tmp_path / name) for name, cfg in configs.items()]
-        series = []
-        for run in runs:
+
+        def load(run):
             name = "ideal_dwell.csv" if run.name == "d" else "tof_density.csv"
             data = np.loadtxt(run / name, delimiter=",", skiprows=1)
-            series.append(DistributionSeries(data[:, 0], data[:, 1], data[:, 2],
-                                             label=run.name))
+            return DistributionSeries(data[:, 0], data[:, 1], data[:, 2],
+                                      label=run.name)
+
+        # mixtures of the real runs, one more directory each
+        real = [load(run) for run in runs]
+        times = real[0].times
+        rng = np.random.default_rng(7)
+        for k in range(36):
+            density = rng.dirichlet(np.ones(len(real))) @ [s.density for s in real]
+            run = tmp_path / f"mix{k:02d}"
+            run.mkdir()
+            _write_csv(run / "tof_density.csv", ["t", "density", "cdf"],
+                       [times, density, cumulative(times, density)])
+            runs.append(run)
+        assert len(runs) == 43
+        series = [load(run) for run in runs]
         expected = ["a,b,sup_cdf,l1_density"]
         for i, a in enumerate(series):
             for b in series[i + 1:]:
@@ -377,6 +413,24 @@ class TestCmdCompare:
         out = cmd_compare(runs, tmp_path / "cmp")
         assert (out / "distances.csv").read_text().splitlines() == expected
         assert "a,c,0,0" in expected
+
+    @pytest.mark.parametrize("table", [
+        "t,density,cdf\n",
+        "t,density,cdf\n0,0.5,0\n",
+        "t,density\n0,0.5\n1,0.5\n",
+        "t,density,cdf,extra\n0,0.5,0,1\n1,0.5,0.5,1\n",
+    ], ids=["header-only", "one-row", "two-columns", "four-columns"])
+    def test_rejects_malformed_table(self, tmp_path, capsys, table):
+        good = cmd_run(_small_config(), tmp_path / "good")
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "tof_density.csv").write_text(table, encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert main(["compare", str(good), str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad / 'tof_density.csv'} holds" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_rejects_repeated_directory_names(self, tmp_path, capsys):
         x = cmd_run(_small_config(), tmp_path / "x" / "run")

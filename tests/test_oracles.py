@@ -233,6 +233,17 @@ class TestThetaGridOracle:
         np.testing.assert_allclose(res.theta_marginal(), expected, atol=1e-8)
         assert res.norm() == pytest.approx(1.0, abs=1e-9)
 
+    def test_packet_not_built_by_the_engines(self, monkeypatch):
+        def engine_packet(*args, **kwargs):
+            raise AssertionError("the oracle used the engines' init_gaussian")
+
+        cfg = _small_config("continuous")
+        expected = oracles.evolve_theta_grid(cfg, 128).theta_marginal()
+        for module in (tc, tc.core, oracles):
+            monkeypatch.setattr(module, "init_gaussian", engine_packet, raising=False)
+        res = oracles.evolve_theta_grid(cfg, 128)
+        np.testing.assert_array_equal(res.theta_marginal(), expected)
+
     @pytest.mark.parametrize("mode,extra", [
         ("continuous", {}),
         ("kicked", dict(kick_period=0.5)),
