@@ -32,13 +32,12 @@ def run_preset(name: str, grid: tc.SpatialGrid, dt: float) -> analysis.Distribut
     if cfg.mode == "ideal-reference":
         series = result.ideal
     else:
-        series = analysis.state_tof_distribution(result.final_state, label=name)
+        series = analysis.state_tof_distribution(result.final_state)
         print(
             f"  {name}: norm drift {result.norm_drift:.1e}, "
             f"residual region mass {result.region_mass_final:.1e}, "
             f"wall time {result.wall_time:.1f}s"
         )
-    series.label = name
     return series
 
 

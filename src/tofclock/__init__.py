@@ -10,7 +10,6 @@ from .core import (
     SpatialGrid,
     WavepacketSpec,
     classical_tof,
-    init_clock_hand,
     init_gaussian,
     modular_phase,
     product_state,
@@ -30,7 +29,6 @@ from .analysis import (
     overlap_matrix,
     state_tof_distribution,
     theta_distribution,
-    tof_distribution,
     transmission_report,
 )
 from .oracles import (

@@ -84,7 +84,6 @@ class DistributionSeries:
     times: np.ndarray
     density: np.ndarray
     cdf: np.ndarray
-    label: str = ""
 
     @property
     def total_mass(self) -> float:
@@ -92,44 +91,31 @@ class DistributionSeries:
 
     @classmethod
     def from_density(
-        cls, times: np.ndarray, density: np.ndarray, label: str = ""
+        cls, times: np.ndarray, density: np.ndarray
     ) -> "DistributionSeries":
+        """Series of a sampled density; its cdf is the trapezoid running
+        integral, which starts at exactly 0."""
         density = np.asarray(density, dtype=float)
         worst = density.min() if density.size else 0.0
         if worst < -NEGATIVE_DENSITY_TOL:
             raise ValueError(f"density significantly negative: min={worst:.3e}")
         density = np.clip(density, 0.0, None)
-        cdf = cumulative(times, density)
-        return cls(times=np.asarray(times, dtype=float), density=density,
-                   cdf=cdf, label=label)
+        cdf = cumulative_trapezoid(density, times, initial=0.0)
+        return cls(times=np.asarray(times, dtype=float), density=density, cdf=cdf)
 
 
-def cumulative(times: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Trapezoid running integral of a density; starts at exactly 0."""
-    return cumulative_trapezoid(density, times, initial=0.0)
-
-
-def tof_distribution(
-    theta: np.ndarray,
-    theta_density: np.ndarray,
-    clock: ClockSpec,
-    label: str = "",
+def state_tof_distribution(
+    state: ChannelState, theta_points: int = THETA_POINTS
 ) -> DistributionSeries:
-    """Rescale an angular density to time-of-flight via t = theta/omega.
+    """The clock's reading distribution: `theta_distribution` rescaled to
+    time-of-flight via t = theta/omega.
 
     Times are reported modulo the clock period 2*pi/omega; mass is
     preserved exactly (the change of variables is linear).
     """
-    times = theta / clock.omega
-    density = clock.omega * np.asarray(theta_density)
-    return DistributionSeries.from_density(times, density, label=label)
-
-
-def state_tof_distribution(
-    state: ChannelState, theta_points: int = THETA_POINTS, label: str = ""
-) -> DistributionSeries:
     theta, density = theta_distribution(state, theta_points)
-    return tof_distribution(theta, density, state.clock, label=label)
+    omega = state.clock.omega
+    return DistributionSeries.from_density(theta / omega, omega * density)
 
 
 def _fourier_coefficients(series: DistributionSeries) -> np.ndarray:
@@ -146,10 +132,11 @@ def mean_reading(
 
     Default (no window): circular-centered linear mean, computed spectrally
     so it is exact for the trigonometric-polynomial densities produced by
-    `theta_distribution`.  The window of length one period is centered on
-    the circular mean direction, which makes the estimate insensitive to
-    hand-kernel wings wrapping through t = 0; the result may therefore be
-    slightly negative for readings near zero.
+    `theta_distribution`.  The window of length one period P is centered on
+    the circular mean direction, taken in [-pi/4, 7*pi/4), which makes the
+    estimate insensitive to hand-kernel wings wrapping through t = 0.  A
+    mean in [-P/8, 7*P/8) therefore comes back unwrapped, and a larger one
+    reads P less.
 
     With a window (t_lo, t_hi): plain trapezoid mean of t over the window.
     """
@@ -172,6 +159,8 @@ def mean_reading(
     if mass <= 0:
         raise ValueError("distribution carries no mass")
     mu = float(np.angle(c[-1]))  # direction of <exp(2*pi*i*t/period)>
+    if mu < -0.25 * math.pi:  # from (-pi, pi] into [-pi/4, 7*pi/4)
+        mu += 2.0 * math.pi
     # linear mean of the centered angle phi = 2*pi*t/period - mu over
     # (-pi, pi]; integral of phi*exp(i*d*phi) over that window is
     # -2*pi*i*(-1)^d/d, so the correction below is exact for band-limited
@@ -207,7 +196,6 @@ def distribution_distance(
 class TransmissionReport:
     """Per-channel and total masses left of, inside, and right of the region."""
 
-    modes: np.ndarray
     left: np.ndarray
     inside: np.ndarray
     right: np.ndarray
@@ -232,6 +220,4 @@ def transmission_report(
     left, inside, right = state.grid.dx * row_sums(
         state.amplitudes, slice(None, inner.start), inner, slice(inner.stop, None)
     )
-    return TransmissionReport(
-        modes=state.clock.modes.copy(), left=left, inside=inside, right=right
-    )
+    return TransmissionReport(left=left, inside=inside, right=right)

@@ -143,9 +143,7 @@ def cmd_run(
         series = result.ideal
         data_name = "ideal_dwell.csv"
     else:
-        series = analysis.state_tof_distribution(
-            result.final_state, theta_points, label=label or config.mode
-        )
+        series = analysis.state_tof_distribution(result.final_state, theta_points)
         data_name = "tof_density.csv"
     digests[data_name] = _write_hashed(out_dir / data_name, _csv_text(
         ["t", "density", "cdf"], [series.times, series.density, series.cdf]))
@@ -193,10 +191,7 @@ def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
                 raise ValueError(f"{path} holds {data.shape[0]} rows of "
                                  f"{data.shape[1]} columns; need t,density,cdf "
                                  "on at least two rows")
-            return analysis.DistributionSeries(
-                times=data[:, 0], density=data[:, 1], cdf=data[:, 2],
-                label=run_dir.name,
-            )
+            return analysis.DistributionSeries(data[:, 0], data[:, 1], data[:, 2])
     raise FileNotFoundError(f"no distribution data in {run_dir}")
 
 
@@ -204,22 +199,21 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
     if len(run_dirs) < 2:
         raise ValueError("compare needs at least two completed runs")
     run_dirs = [Path(d) for d in run_dirs]
-    shared = sorted(n for n, k in Counter(d.name for d in run_dirs).items() if k > 1)
+    names = [d.name for d in run_dirs]  # the runs' labels in both tables
+    shared = sorted(n for n, k in Counter(names).items() if k > 1)
     if shared:
         raise ValueError("compare labels runs by directory name, which must be "
                          f"unique; repeated: {', '.join(shared)}")
     series = [_load_run_series(d) for d in run_dirs]
     base = series[0].times
-    for s in series[1:]:
+    for name, s in zip(names[1:], series[1:]):
         if not analysis.same_grid(series[0], s):
-            raise ValueError(
-                f"time grid of {s.label} does not match {series[0].label}"
-            )
+            raise ValueError(f"time grid of {name} does not match {names[0]}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     _write_csv(out_dir / "compare_cdf.csv",
-               ["t"] + [s.label for s in series],
+               ["t"] + names,
                [base] + [s.cdf for s in series])
 
     # `analysis.distribution_distance` of run i against a block of later runs
@@ -232,8 +226,9 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
                 sup_cdf = np.abs(np.array([b.cdf for b in block]) - a.cdf).max(axis=1)
                 l1 = np.trapezoid(np.abs(np.array([b.density for b in block])
                                          - a.density), a.times, axis=1)
-                fh.writelines(f"{a.label},{b.label},{sup:.17g},{dist:.17g}\n"
-                              for b, sup, dist in zip(block, sup_cdf.tolist(), l1.tolist()))
+                fh.writelines(f"{names[i]},{b},{sup:.17g},{dist:.17g}\n"
+                              for b, sup, dist in zip(names[lo:lo + _PARTNER_BLOCK],
+                                                      sup_cdf.tolist(), l1.tolist()))
     print(f"comparison written: {out_dir}")
     return out_dir
 

@@ -246,21 +246,17 @@ def init_gaussian(
     return psi
 
 
-def init_clock_hand(clock: ClockSpec) -> np.ndarray:
-    """Uniform channel weights 1/sqrt(N) for n = -j..j.
-
-    The implied angular density is the Fejer-type kernel
-    |sum_n exp(i n theta)|^2 / (2 pi N), peaked at theta = 0.
-    """
-    n = clock.n_modes
-    return np.full(n, 1.0 / math.sqrt(n))
-
-
 def product_state(
     psi: np.ndarray, clock: ClockSpec, grid: SpatialGrid
 ) -> ChannelState:
-    """Initial product state: spatial packet times the clock hand."""
-    weights = init_clock_hand(clock).astype(complex)
+    """Initial product state: spatial packet times the clock hand.
+
+    The hand has uniform channel weights 1/sqrt(N) for n = -j..j, so its
+    angular density is the Fejer-type kernel |sum_n exp(i n theta)|^2 / (2 pi N),
+    peaked at theta = 0.
+    """
+    n = clock.n_modes
+    weights = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
     return ChannelState(clock, grid, np.outer(weights, psi))
 
 
@@ -307,10 +303,6 @@ class KickSchedule:
     @property
     def n_kicks(self) -> int:
         return int(math.floor(self.t_final / self.period + 1e-12))
-
-    @property
-    def kick_times(self) -> np.ndarray:
-        return self.period * np.arange(1, self.n_kicks + 1)
 
 
 @dataclass(frozen=True)

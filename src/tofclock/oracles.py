@@ -183,7 +183,6 @@ def ideal_dwell(
     m: float,
     times: np.ndarray,
     hbar: float = 1.0,
-    label: str = "ideal",
 ) -> DistributionSeries:
     """Ideal dwell-time distribution: push-forward of the momentum density
     under p -> m*d/p.
@@ -203,7 +202,7 @@ def ideal_dwell(
     pos = times > 0
     p_of_t = m * d / times[pos]
     density[pos] = (m * d / times[pos] ** 2) * momentum_density(spec, p_of_t, hbar)
-    return DistributionSeries.from_density(times, density, label=label)
+    return DistributionSeries.from_density(times, density)
 
 
 THETA_GRID_MAX_X = 2**10
@@ -258,7 +257,8 @@ def evolve_theta_grid(
     psi_x = free_gaussian(config.packet, 0.0, grid.x, m, hbar)
     psi = np.outer(psi_x, hand)
 
-    chi = grid.region_mask(config.region).astype(float)
+    region = config.region  # closed interval, as the engines couple it
+    chi = ((grid.x >= region.x_left) & (grid.x <= region.x_right)).astype(float)
     n_theta = np.rint(np.fft.fftfreq(theta_points) * theta_points)
     kin_phase_of = lambda dt: np.exp(-0.5j * hbar * grid.k**2 * dt / m)[:, None]
 

@@ -332,32 +332,23 @@ class RunResult:
     """Outcome of a full experiment: final state plus diagnostics.
 
     For mode 'ideal-reference' there is no propagation; `ideal` carries the
-    closed-form dwell-time distribution and `final_state` is None.
+    closed-form dwell-time distribution, `final_state` is None and
+    `max_channel_drift` is 0.
     """
 
     config: ExperimentConfig
     regime: RegimeReport
-    mode: str
     final_state: ChannelState | None
     diagnostics: list[DiagnosticSample]
-    initial_channel_norms: np.ndarray | None
-    final_channel_norms: np.ndarray | None
+    max_channel_drift: float  # largest change of one channel's norm
     wall_time: float
-    ideal: object | None = None
+    ideal: analysis.DistributionSeries | None = None
 
     @property
     def norm_drift(self) -> float:
         if not self.diagnostics:
             return 0.0
         return max(abs(s.norm - 1.0) for s in self.diagnostics)
-
-    @property
-    def max_channel_drift(self) -> float:
-        if self.initial_channel_norms is None:
-            return 0.0
-        return float(
-            np.max(np.abs(self.final_channel_norms - self.initial_channel_norms))
-        )
 
     @property
     def region_mass_final(self) -> float:
@@ -387,17 +378,15 @@ def run_experiment(
     t0 = _time.perf_counter()
 
     if config.mode == "ideal-reference":
-        # the clock runs' grid: tof_distribution maps theta to theta/omega
+        # the clock runs' grid: state_tof_distribution maps theta to theta/omega
         times = analysis.theta_grid(config.clock, theta_points) / config.clock.omega
         dist = oracles.ideal_dwell(
             config.packet, config.region, config.physical.m, times,
             hbar=config.physical.hbar,
         )
         return RunResult(
-            config=config, regime=regime, mode=config.mode,
-            final_state=None, diagnostics=[],
-            initial_channel_norms=None, final_channel_norms=None,
-            wall_time=_time.perf_counter() - t0, ideal=dist,
+            config=config, regime=regime, final_state=None, diagnostics=[],
+            max_channel_drift=0.0, wall_time=_time.perf_counter() - t0, ideal=dist,
         )
 
     initial = _initial_state(config)
@@ -408,12 +397,10 @@ def run_experiment(
         traj = evolve_kicked(config, initial, workers)
     wall = _time.perf_counter() - t0
 
+    drift = np.abs(traj.final_state.channel_norms() - init_norms).max()
     result = RunResult(
-        config=config, regime=regime, mode=config.mode,
-        final_state=traj.final_state, diagnostics=traj.diagnostics,
-        initial_channel_norms=init_norms,
-        final_channel_norms=traj.final_state.channel_norms(),
-        wall_time=wall,
+        config=config, regime=regime, final_state=traj.final_state,
+        diagnostics=traj.diagnostics, max_channel_drift=float(drift), wall_time=wall,
     )
     if result.region_mass_final > config.region_mass_tol:
         raise CollisionUnfinishedError(

@@ -39,8 +39,7 @@ def fig1_cont_run():
 @pytest.fixture(scope="session")
 def fig1_cont_series(fig1_cont_run):
     result, _ = fig1_cont_run
-    return analysis.state_tof_distribution(result.final_state, 1024,
-                                           label="continuous")
+    return analysis.state_tof_distribution(result.final_state, 1024)
 
 
 @pytest.fixture(scope="session")
@@ -52,8 +51,7 @@ def fig1_kicked_run():
 
 @pytest.fixture(scope="session")
 def fig1_kicked_series(fig1_kicked_run):
-    return analysis.state_tof_distribution(fig1_kicked_run.final_state, 1024,
-                                           label="kicked")
+    return analysis.state_tof_distribution(fig1_kicked_run.final_state, 1024)
 
 
 @pytest.fixture(scope="session")

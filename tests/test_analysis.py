@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tofclock as tc
 from tofclock import analysis
 from tofclock.analysis import (
     DistributionSeries,
-    cumulative,
     distribution_distance,
     hand_density,
     mean_reading,
     overlap_matrix,
     theta_distribution,
-    tof_distribution,
+    theta_grid,
     transmission_report,
 )
 from tofclock.propagators import kinetic_step
@@ -127,10 +126,9 @@ class TestThetaDistribution:
 class TestDistributionSeries:
     def test_from_density_builds_cdf(self):
         t = np.linspace(0.0, 2.0, 201)
-        dist = DistributionSeries.from_density(t, np.full_like(t, 0.5), label="u")
+        dist = DistributionSeries.from_density(t, np.full_like(t, 0.5))
         assert dist.total_mass == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(dist.cdf, 0.5 * t, atol=1e-12)
-        assert dist.label == "u"
 
     def test_cdf_monotone(self):
         t = np.linspace(0.0, 1.0, 100)
@@ -152,24 +150,19 @@ class TestDistributionSeries:
         with pytest.raises(ValueError):
             DistributionSeries.from_density(t, density)
 
-    def test_cumulative_starts_at_zero(self):
-        t = np.linspace(0.0, 1.0, 50)
-        assert cumulative(t, np.ones_like(t))[0] == 0.0
 
+class TestStateTofDistribution:
+    def test_times_are_theta_grid_over_omega(self):
+        series = analysis.state_tof_distribution(_state(), 256)
+        np.testing.assert_array_equal(series.times, theta_grid(CLOCK, 256) / CLOCK.omega)
+        assert series.times[-1] == pytest.approx(CLOCK.period, rel=1e-15)
 
-class TestTofDistribution:
-    def test_linear_rescale_preserves_mass(self):
-        theta, density = theta_distribution(_state(), 256)
-        dist = tof_distribution(theta, density, CLOCK)
-        assert dist.times[-1] == pytest.approx(CLOCK.period, rel=1e-15)
-        assert dist.total_mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_state_helper_matches(self):
+    def test_mass_equals_state_norm(self):
+        # a non-unit norm, so a rescale that renormalised would show
         state = kinetic_step(_state(), 1.0)
-        theta, density = theta_distribution(state, 256)
-        a = tof_distribution(theta, density, CLOCK)
-        b = analysis.state_tof_distribution(state, 256)
-        np.testing.assert_allclose(a.density, b.density, atol=1e-15)
+        state = tc.ChannelState(CLOCK, GRID, 0.8 * state.amplitudes)
+        series = analysis.state_tof_distribution(state, 256)
+        assert series.total_mass == pytest.approx(state.norm(), abs=1e-12)
 
 
 class TestMeanReading:
@@ -185,6 +178,21 @@ class TestMeanReading:
             series = analysis.state_tof_distribution(_rotated_state(duration), 256)
             delta = (mean_reading(series) - duration + 0.5 * period) % period
             assert delta - 0.5 * period == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(j=st.integers(1, 8), fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_rotated_hand_unwrapped_below_seven_eighths(self, j, fraction):
+        # the window's centre lies in [-pi/4, 7*pi/4): a hand rotated by d
+        # reads d for d in [0, 7P/8) and d - P above
+        assume(abs(fraction - 0.875) > 1e-9)
+        clock = tc.ClockSpec(2.0 * math.pi / 25.0, j)
+        duration = fraction * clock.period
+        psi = tc.init_gaussian(SPEC, GRID)
+        amps = tc.product_state(psi, clock, GRID).amplitudes
+        amps *= np.exp(-1j * clock.modes * clock.omega * duration)[:, None]
+        series = analysis.state_tof_distribution(tc.ChannelState(clock, GRID, amps), 256)
+        expected = duration if fraction < 0.875 else duration - clock.period
+        assert mean_reading(series) == pytest.approx(expected, abs=1e-9)
 
     def test_windowed_mean(self):
         # triangle density peaked at t = 1 on [0, 2]
@@ -265,7 +273,7 @@ class TestTransmissionReport:
 
     def test_per_channel_rows(self):
         report = transmission_report(_state(), self.REGION)
-        assert report.modes.shape == (CLOCK.n_modes,)
+        assert report.left.shape == (CLOCK.n_modes,)
         np.testing.assert_allclose(report.left, 1.0 / CLOCK.n_modes, atol=1e-9)
 
 

@@ -14,7 +14,6 @@ import tofclock as tc
 from tofclock import propagators
 from tofclock.analysis import (
     DistributionSeries,
-    cumulative,
     distribution_distance,
     state_tof_distribution,
 )
@@ -389,8 +388,7 @@ class TestCmdCompare:
         def load(run):
             name = "ideal_dwell.csv" if run.name == "d" else "tof_density.csv"
             data = np.loadtxt(run / name, delimiter=",", skiprows=1)
-            return DistributionSeries(data[:, 0], data[:, 1], data[:, 2],
-                                      label=run.name)
+            return DistributionSeries(data[:, 0], data[:, 1], data[:, 2])
 
         # mixtures of the real runs, one more directory each
         real = [load(run) for run in runs]
@@ -401,15 +399,15 @@ class TestCmdCompare:
             run = tmp_path / f"mix{k:02d}"
             run.mkdir()
             _write_csv(run / "tof_density.csv", ["t", "density", "cdf"],
-                       [times, density, cumulative(times, density)])
+                       [times, density, DistributionSeries.from_density(times, density).cdf])
             runs.append(run)
         assert len(runs) == 43
         series = [load(run) for run in runs]
         expected = ["a,b,sup_cdf,l1_density"]
         for i, a in enumerate(series):
-            for b in series[i + 1:]:
+            for k, b in enumerate(series[i + 1:], start=i + 1):
                 sup_cdf, l1 = distribution_distance(a, b)
-                expected.append(f"{a.label},{b.label},{sup_cdf:.17g},{l1:.17g}")
+                expected.append(f"{runs[i].name},{runs[k].name},{sup_cdf:.17g},{l1:.17g}")
         out = cmd_compare(runs, tmp_path / "cmp")
         assert (out / "distances.csv").read_text().splitlines() == expected
         assert "a,c,0,0" in expected

@@ -147,9 +147,11 @@ class TestInitialState:
 
     def test_hand_weights_uniform(self):
         clock = tc.ClockSpec(1.0, 4)
-        w = tc.init_clock_hand(clock)
-        assert w.shape == (9,)
-        np.testing.assert_allclose(w, 1.0 / 3.0, rtol=1e-15)
+        psi = tc.init_gaussian(self.SPEC, self.GRID)
+        amps = tc.product_state(psi, clock, self.GRID).amplitudes
+        assert amps.shape == (9, self.GRID.num_points)
+        np.testing.assert_allclose(amps, np.outer(np.full(9, 1.0 / 3.0), psi),
+                                   rtol=1e-15, atol=0.0)
 
     def test_hand_orthogonal_after_tau_rotation(self):
         # rotating the uniform hand by k*tau (k not a multiple of N) gives an
@@ -246,8 +248,7 @@ class TestExperimentConfig:
     def test_kick_schedule(self):
         cfg = _fig1_config(mode="kicked", kick_period=1.0)
         sched = cfg.kick_schedule
-        assert sched.n_kicks == 25
-        np.testing.assert_allclose(sched.kick_times, np.arange(1, 26), rtol=1e-14)
+        assert (sched.period, sched.n_kicks) == (1.0, 25)
 
     def test_kick_period_must_fit(self):
         with pytest.raises(ValueError):

@@ -244,6 +244,16 @@ class TestThetaGridOracle:
         res = oracles.evolve_theta_grid(cfg, 128)
         np.testing.assert_array_equal(res.theta_marginal(), expected)
 
+    def test_region_not_masked_by_the_engines(self, monkeypatch):
+        def engine_mask(*args, **kwargs):
+            raise AssertionError("the oracle used the engines' region_mask")
+
+        cfg = _small_config("kicked", kick_period=0.5)
+        expected = oracles.evolve_theta_grid(cfg, 128).theta_marginal()
+        monkeypatch.setattr(tc.SpatialGrid, "region_mask", engine_mask)
+        res = oracles.evolve_theta_grid(cfg, 128)
+        np.testing.assert_array_equal(res.theta_marginal(), expected)
+
     @pytest.mark.parametrize("mode,extra", [
         ("continuous", {}),
         ("kicked", dict(kick_period=0.5)),

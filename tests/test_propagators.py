@@ -577,7 +577,7 @@ class TestKickClasses:
 class TestRunExperiment:
     def test_continuous_dispatch(self):
         result = run_experiment(_config())
-        assert result.mode == "continuous"
+        assert result.config.mode == "continuous"
         assert result.final_state is not None
         assert result.norm_drift < 1e-10
         assert result.max_channel_drift < 1e-10
