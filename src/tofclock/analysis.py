@@ -20,7 +20,7 @@ from scipy.integrate import cumulative_trapezoid
 from .core import ChannelState, ClockSpec, RegionSpec, row_sums
 
 NEGATIVE_DENSITY_TOL = 1e-12
-THETA_POINTS = 1024  # default sampling of the reading grid
+THETA_POINTS = 1024  # fewest intervals of the default reading grid
 
 
 def overlap_matrix(state: ChannelState) -> np.ndarray:
@@ -33,14 +33,17 @@ def overlap_matrix(state: ChannelState) -> np.ndarray:
     return (a @ a.conj().T) * state.grid.dx
 
 
-def theta_grid(clock: ClockSpec, theta_points: int) -> np.ndarray:
+def theta_grid(clock: ClockSpec, theta_points: int | None = None) -> np.ndarray:
     """Closed reading grid [0, 2*pi] of theta_points intervals, the one
     grid of every clock and ideal reading (times are theta/omega).
 
-    Requires theta_points >= 2N (Nyquist for the N-mode trigonometric
-    polynomial of the clock's angular density).
+    The clock's angular density is a trigonometric polynomial of its
+    N = 2j+1 modes, so theta_points >= 2N (Nyquist) samples it exactly;
+    None takes max(THETA_POINTS, 2N), and a smaller explicit value raises.
     """
     n_modes = clock.n_modes
+    if theta_points is None:
+        theta_points = max(THETA_POINTS, 2 * n_modes)
     if theta_points < 2 * n_modes:
         raise ValueError(
             f"theta_points={theta_points} undersamples the {n_modes}-mode "
@@ -50,7 +53,7 @@ def theta_grid(clock: ClockSpec, theta_points: int) -> np.ndarray:
 
 
 def theta_distribution(
-    state: ChannelState, theta_points: int = THETA_POINTS
+    state: ChannelState, theta_points: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angular density of the clock, sampled on `theta_grid`.
 
@@ -60,10 +63,11 @@ def theta_distribution(
     real FFT samples it; exact because theta_grid demands M >= 2N > 4j.
     """
     theta = theta_grid(state.clock, theta_points)
+    m = theta.size - 1
     overlaps = overlap_matrix(state)
     coeffs = [np.trace(overlaps, -d) for d in range(state.clock.n_modes)]
     density = np.empty(theta.size)
-    density[:-1] = np.fft.irfft(coeffs, theta_points) * (theta_points / (2.0 * math.pi))
+    density[:-1] = np.fft.irfft(coeffs, m) * (m / (2.0 * math.pi))
     density[-1] = density[0]  # theta = 2*pi closes the grid
     return theta, density
 
@@ -97,15 +101,15 @@ class DistributionSeries:
         integral, which starts at exactly 0."""
         density = np.asarray(density, dtype=float)
         worst = density.min() if density.size else 0.0
-        if worst < -NEGATIVE_DENSITY_TOL:
-            raise ValueError(f"density significantly negative: min={worst:.3e}")
+        if not worst >= -NEGATIVE_DENSITY_TOL:  # NaN fails it
+            raise ValueError(f"density significantly negative or NaN: min={worst:.3e}")
         density = np.clip(density, 0.0, None)
         cdf = cumulative_trapezoid(density, times, initial=0.0)
         return cls(times=np.asarray(times, dtype=float), density=density, cdf=cdf)
 
 
 def state_tof_distribution(
-    state: ChannelState, theta_points: int = THETA_POINTS
+    state: ChannelState, theta_points: int | None = None
 ) -> DistributionSeries:
     """The clock's reading distribution: `theta_distribution` rescaled to
     time-of-flight via t = theta/omega.

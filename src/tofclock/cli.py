@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -118,33 +117,30 @@ def cmd_run(
     config: ExperimentConfig,
     out_dir: Path,
     workers: int | None = None,
-    theta_points: int = analysis.THETA_POINTS,
     label: str = "",
 ) -> Path:
     workers = resolve_workers(workers)
-    analysis.theta_grid(config.clock, theta_points)  # checked before propagating
-    result = run_experiment(config, workers=workers, theta_points=theta_points)
+    result = run_experiment(config, workers=workers)
     # made only now, so that a failed run leaves no empty run directory
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = result.regime
     warnings = regime_warnings(config, report)
 
-    manifest: list[tuple[str, str]] = [
-        ("label", label or config.mode),
-        ("mode", config.mode),
-        ("theta_points", str(theta_points)),
-        ("workers", str(workers)),
-        ("note.parameters", IMPLEMENTATION_CHOICE_NOTE),
-    ]
-    digests: dict[str, str] = {}  # SHA-256 of each data file, in manifest order
-
     if config.mode == "ideal-reference":
         series = result.ideal
         data_name = "ideal_dwell.csv"
     else:
-        series = analysis.state_tof_distribution(result.final_state, theta_points)
+        series = analysis.state_tof_distribution(result.final_state)
         data_name = "tof_density.csv"
+    manifest: list[tuple[str, str]] = [
+        ("label", label or config.mode),
+        ("mode", config.mode),
+        ("theta_points", str(series.times.size - 1)),
+        ("workers", str(workers)),
+        ("note.parameters", IMPLEMENTATION_CHOICE_NOTE),
+    ]
+    digests: dict[str, str] = {}  # SHA-256 of each data file, in manifest order
     digests[data_name] = _write_hashed(out_dir / data_name, _csv_text(
         ["t", "density", "cdf"], [series.times, series.density, series.cdf]))
     manifest.append((f"mass.{data_name}", f"{series.total_mass:.17g}"))
@@ -241,14 +237,10 @@ def _resolve_config(args) -> ExperimentConfig:
     if args.config and args.preset:
         raise ConfigError("use either --config or --preset, not both")
     if args.config:
-        config = load_config(args.config)
-    elif args.preset:
-        config = get_preset(args.preset)
-    else:
-        raise ConfigError("one of --config or --preset is required")
-    if getattr(args, "kick_at_zero", False):
-        config = dataclasses.replace(config, kick_at_zero=True)
-    return config
+        return load_config(args.config)
+    if args.preset:
+        return get_preset(args.preset)
+    raise ConfigError("one of --config or --preset is required")
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -270,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=None,
                      help="clock-channel blocks propagated in parallel "
                      "(default: every available core); outputs do not depend on it")
-    run.add_argument("--theta-points", type=int, default=analysis.THETA_POINTS)
-    run.add_argument("--kick-at-zero", action="store_true",
-                     help="also kick at t = 0 (kicked mode)")
 
     cmp_p = sub.add_parser("compare", help="compare completed runs")
     cmp_p.add_argument("run_dirs", nargs="+", type=Path)
@@ -292,8 +281,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             label = args.preset or (args.config.stem if args.config else "")
-            cmd_run(_resolve_config(args), args.out, workers=args.workers,
-                    theta_points=args.theta_points, label=label)
+            cmd_run(_resolve_config(args), args.out, workers=args.workers, label=label)
         elif args.command == "compare":
             cmd_compare(args.run_dirs, args.out)
         elif args.command == "validate":

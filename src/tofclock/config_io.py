@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 import types
 import typing
 
@@ -50,11 +51,14 @@ def _convert(section: str, key: str, raw: str):
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}"
         ) from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:

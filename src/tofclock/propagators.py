@@ -135,11 +135,10 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _sample(
-    t: float, sums: np.ndarray, dx: float, counts: np.ndarray | None = None
+    t: float, sums: np.ndarray, dx: float, counts: np.ndarray
 ) -> DiagnosticSample:
-    """Diagnostics from per-row sums; row i stands for `counts[i]` channels
-    when counts are given."""
-    total, inside, left, right = (sums if counts is None else sums * counts).sum(axis=1)
+    """Diagnostics from per-row sums; row i stands for `counts[i]` channels."""
+    total, inside, left, right = (sums * counts).sum(axis=1)
     return DiagnosticSample(
         t=t,
         norm=float(total) * dx,
@@ -149,10 +148,11 @@ def _sample(
 
 
 def _check_guards(config: ExperimentConfig, sample: DiagnosticSample) -> DiagnosticSample:
+    # written so that a NaN fails them
     t = sample.t
-    if abs(sample.norm - 1.0) > _NORM_TOL:
+    if not abs(sample.norm - 1.0) <= _NORM_TOL:
         raise NormDriftError(f"norm drift {sample.norm - 1.0:.3e} at t={t:.6g}")
-    if sample.boundary_mass > config.boundary_mass_tol:
+    if not sample.boundary_mass <= config.boundary_mass_tol:
         raise BoundaryLeakError(
             f"boundary occupancy {sample.boundary_mass:.3e} at t={t:.6g}"
         )
@@ -163,8 +163,7 @@ def _run_schedule(
     config: ExperimentConfig,
     amps: np.ndarray,
     modes: np.ndarray,
-    counts: np.ndarray | None,
-    first_phase: float,
+    counts: np.ndarray,
     segments: list[tuple[float, float]],
     check_every: int,
     workers: int | None,
@@ -172,11 +171,12 @@ def _run_schedule(
     """The one time loop of both engines; evolves `amps` in place.
 
     Row i of `amps` is a channel of mode `modes[i]`, and stands for
-    `counts[i]` channels in the guard sums (one each when counts is None).
-    Applies the coupling for `first_phase`, then for each (flight, phase)
-    segment an exact free flight of duration `flight` followed by the
-    coupling accrued over `phase` (none when it is 0).  Guards run on the
-    initial state, every `check_every` segments and after the last one.
+    `counts[i]` channels in the guard sums.  For each (flight, phase)
+    segment: an exact free flight of duration `flight` (none when it is 0)
+    followed by the coupling accrued over `phase` (none when it is 0).  The
+    first segment, (0, phase), couples before any flight.  Guards run on
+    the initial state, every `check_every` segments after the first and
+    after the last one.
 
     The channels never mix, so the rows are split into up to `workers`
     contiguous blocks (views of one array); a small state stays in one
@@ -194,18 +194,17 @@ def _run_schedule(
     blocks = np.array_split(amps, k)
     flights = {
         flight: _kinetic_propagator(grid, flight, config.physical.m, config.physical.hbar)
-        for flight in {flight for flight, _ in segments}
+        for flight in {flight for flight, _ in segments} if flight
     }
     phases = {
         phase: np.array_split(_coupling_phases(modes, omega, phase), k)
-        for phase in {first_phase, *(phase for _, phase in segments)} if phase
+        for phase in {phase for _, phase in segments} if phase
     }
-    # the steps between guard checks; the first check is on the initial
-    # state, and the first phase is a step without flight
-    intervals, pending = [[]], [(0.0, first_phase)]
-    for i, segment in enumerate(segments, start=1):
+    # the steps between guard checks; the first check is on the initial state
+    intervals, pending = [[]], []
+    for i, segment in enumerate(segments):
         pending.append(segment)
-        if i % check_every == 0 or i == len(segments):
+        if i and (i % check_every == 0 or i == len(segments) - 1):
             intervals.append(pending)
             pending = []
 
@@ -235,6 +234,58 @@ def _run_schedule(
     return diagnostics
 
 
+def _kick_classes(
+    clock: ClockSpec, period: float | None, amplitudes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows that a run kicked with `period` may propagate as one.
+
+    Row i gets the kick phase exp(-i n_i omega T).  With q = omega T / 2 pi
+    and p the smallest 1 <= p < 2j+1 for which q p is an integer (to a few
+    ulp), rows i and i + p get the same phase mod 2 pi at every kick, and
+    every channel is free between kicks.  So rows of one such class whose
+    initial amplitudes are bitwise equal stay equal, up to the last bits in
+    which exp of n omega T and of n omega T + 2 pi q p differ.
+
+    Returns (owner, representatives): `owner[i]` is the position in
+    `representatives` of the row that row i is merged into.  Every row is
+    its own class when there is no period or no such p.
+    """
+    n = clock.n_modes
+    p = n
+    if period is not None:
+        q = clock.omega * period / (2.0 * math.pi)
+        p = next((p for p in range(1, n)
+                  if abs(q * p - round(q * p)) <= 4 * math.ulp(q * p)), n)
+    if p == n:  # a class of one row each, found without comparing rows
+        return np.arange(n), np.arange(n)
+    bits = np.ascontiguousarray(amplitudes).view(np.uint64)
+    owner, reps = np.full(n, -1), []
+    for i in range(n):
+        if owner[i] < 0:
+            members = owner[i::p]  # a view: row i's class from row i on
+            members[(members < 0) & (bits[i::p] == bits[i]).all(axis=1)] = len(reps)
+            reps.append(i)
+    return owner, np.array(reps)
+
+
+def _evolve(
+    config: ExperimentConfig,
+    initial_state: ChannelState | None,
+    period: float | None,
+    segments: list[tuple[float, float]],
+    check_every: int,
+    workers: int | None,
+) -> Trajectory:
+    """Runs `segments` on one row per `_kick_classes` class of `period`
+    and copies each class's row back into all of its channels."""
+    state = initial_state if initial_state is not None else _initial_state(config)
+    owner, reps = _kick_classes(config.clock, period, state.amplitudes)
+    amps = state.amplitudes[reps]
+    diagnostics = _run_schedule(config, amps, config.clock.modes[reps], np.bincount(owner),
+                                segments, check_every, workers)
+    return Trajectory(ChannelState(state.clock, state.grid, amps[owner]), diagnostics)
+
+
 def evolve_continuous(
     config: ExperimentConfig,
     initial_state: ChannelState | None = None,
@@ -245,50 +296,15 @@ def evolve_continuous(
     Per step of size dt: half coupling phase, exact kinetic step, half
     coupling phase; second order in dt.  Adjacent half phases between steps
     are merged into full phases, so this is a kicked schedule with T = dt
-    and half kicks at both ends.
+    and half kicks at both ends.  Every row is propagated as its own class.
     """
     n_steps = max(1, math.ceil(config.t_final / config.dt - 1e-12))
     dt = config.t_final / n_steps
     # mid-run guard samples carry the next step's leading half phase, which
     # does not affect any of the |.|^2 diagnostics
-    segments = [(dt, dt)] * (n_steps - 1) + [(dt, 0.5 * dt)]
-    check_every = max(1, n_steps // _SNAPSHOTS)
-    state = (initial_state if initial_state is not None else _initial_state(config)).copy()
-    diagnostics = _run_schedule(config, state.amplitudes, config.clock.modes, None,
-                                0.5 * dt, segments, check_every, workers)
-    return Trajectory(final_state=state, diagnostics=diagnostics)
-
-
-def _kick_classes(
-    clock: ClockSpec, period: float, amplitudes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rows that a kicked run may propagate as one, or None if there are none.
-
-    Row i gets the kick phase exp(-i n_i omega T).  With q = omega T / 2 pi
-    and p the smallest 1 <= p < 2j+1 for which q p is an integer (to a few
-    ulp), rows i and i + p get the same phase mod 2 pi at every kick, and
-    every channel is free between kicks.  So rows of one such class whose
-    initial amplitudes are bitwise equal stay equal, up to the last bits in
-    which exp of n omega T and of n omega T + 2 pi q p differ.
-
-    Returns (owner, representatives): `owner[i]` is the position in
-    `representatives` of the row that row i is merged into.
-    """
-    q = clock.omega * period / (2.0 * math.pi)
-    p = next((p for p in range(1, clock.n_modes)
-              if abs(q * p - round(q * p)) <= 4 * math.ulp(q * p)), None)
-    if p is None:
-        return None
-    bits = np.ascontiguousarray(amplitudes).view(np.uint64)
-    owner, reps = np.full(len(bits), -1), []
-    for i in range(len(bits)):
-        if owner[i] < 0:
-            members = owner[i::p]  # a view: row i's class from row i on
-            members[(members < 0) & (bits[i::p] == bits[i]).all(axis=1)] = len(reps)
-            reps.append(i)
-    if len(reps) == len(bits):
-        return None
-    return owner, np.array(reps)
+    segments = [(0.0, 0.5 * dt)] + [(dt, dt)] * (n_steps - 1) + [(dt, 0.5 * dt)]
+    return _evolve(config, initial_state, None, segments,
+                   max(1, n_steps // _SNAPSHOTS), workers)
 
 
 def evolve_kicked(
@@ -307,24 +323,11 @@ def evolve_kicked(
     if schedule is None:
         raise ValueError("kicked evolution requires a kick schedule")
     T = schedule.period
-    segments = [(T, T)] * schedule.n_kicks
+    segments = [(0.0, T if config.kick_at_zero else 0.0)] + [(T, T)] * schedule.n_kicks
     remainder = config.t_final - schedule.n_kicks * T
     if remainder > 1e-12 * config.t_final:
         segments.append((remainder, 0.0))
-    first_phase = T if config.kick_at_zero else 0.0
-    clock = config.clock
-    state = initial_state if initial_state is not None else _initial_state(config)
-    classes = _kick_classes(clock, T, state.amplitudes)
-    if classes is None:
-        amps, modes, counts = state.amplitudes.copy(), clock.modes, None
-    else:
-        owner, reps = classes
-        amps, modes, counts = state.amplitudes[reps], clock.modes[reps], np.bincount(owner)
-    diagnostics = _run_schedule(config, amps, modes, counts, first_phase, segments, 1,
-                                workers)
-    if classes is not None:
-        amps = amps[owner]
-    return Trajectory(ChannelState(state.clock, state.grid, amps), diagnostics)
+    return _evolve(config, initial_state, T, segments, 1, workers)
 
 
 @dataclass
@@ -362,13 +365,11 @@ class RunResult:
 def run_experiment(
     config: ExperimentConfig,
     workers: int | None = None,
-    theta_points: int = analysis.THETA_POINTS,
 ) -> RunResult:
     """Dispatch to the configured engine and collect diagnostics.
 
     `workers` is the number of channel blocks propagated in parallel
     (default: every available core); it does not change any result.
-    `theta_points` sets the `analysis.theta_grid` of an ideal reading.
     Raises CollisionUnfinishedError if the region occupancy at t_final is
     above config.region_mass_tol (the collision is not over and clock
     readings would still be accruing).
@@ -379,7 +380,7 @@ def run_experiment(
 
     if config.mode == "ideal-reference":
         # the clock runs' grid: state_tof_distribution maps theta to theta/omega
-        times = analysis.theta_grid(config.clock, theta_points) / config.clock.omega
+        times = analysis.theta_grid(config.clock) / config.clock.omega
         dist = oracles.ideal_dwell(
             config.packet, config.region, config.physical.m, times,
             hbar=config.physical.hbar,
@@ -402,7 +403,7 @@ def run_experiment(
         config=config, regime=regime, final_state=traj.final_state,
         diagnostics=traj.diagnostics, max_channel_drift=float(drift), wall_time=wall,
     )
-    if result.region_mass_final > config.region_mass_tol:
+    if not result.region_mass_final <= config.region_mass_tol:  # NaN fails it
         raise CollisionUnfinishedError(
             f"region occupancy {result.region_mass_final:.3e} at t_final="
             f"{config.t_final:g} exceeds tolerance {config.region_mass_tol:.1e}"

@@ -76,6 +76,14 @@ class TestThetaDistribution:
         with pytest.raises(ValueError):
             theta_distribution(_state(), CLOCK.n_modes)
 
+    @pytest.mark.parametrize("j, intervals", [(8, 1024), (255, 1024), (256, 1026),
+                                              (600, 2402)])
+    def test_default_grid_from_the_clock(self, j, intervals):
+        # max(THETA_POINTS, 2(2j+1)) intervals: the Nyquist rate once it passes 1024
+        assert theta_grid(tc.ClockSpec(0.8, j)).size == intervals + 1
+        with pytest.raises(ValueError, match=f"need at least {2 * (2 * j + 1)}"):
+            theta_grid(tc.ClockSpec(0.8, j), 2 * (2 * j + 1) - 1)
+
     def test_global_phase_invariance(self):
         state = _state()
         phased = tc.ChannelState(CLOCK, GRID, state.amplitudes * np.exp(0.7j))
@@ -142,6 +150,13 @@ class TestDistributionSeries:
         density[3] = -1e-14
         dist = DistributionSeries.from_density(t, density)
         assert dist.density[3] == 0.0
+
+    def test_rejects_nan(self):
+        t = np.linspace(0.0, 1.0, 10)
+        density = np.full_like(t, 1.0)
+        density[3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            DistributionSeries.from_density(t, density)
 
     def test_rejects_significant_negatives(self):
         t = np.linspace(0.0, 1.0, 10)

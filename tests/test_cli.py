@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tofclock as tc
-from tofclock import propagators
+from tofclock import config_io, propagators
 from tofclock.analysis import (
     DistributionSeries,
     distribution_distance,
@@ -319,6 +320,18 @@ class TestCmdRun:
         assert len(t) == 1026
         assert t == t_column(clock / "tof_density.csv")
 
+    @pytest.mark.parametrize("mode", ["kicked", "ideal-reference"])
+    def test_large_clock_reads_on_its_nyquist_grid(self, tmp_path, mode):
+        # 1201 modes: the reading grid grows from 1024 to 2 * 1201 intervals
+        cfg = _small_config(clock=tc.ClockSpec(0.9, 600), mode=mode,
+                            kick_period=0.5 if mode == "kicked" else None)
+        out = cmd_run(cfg, tmp_path / "run", workers=1)
+        assert "\ntheta_points = 2402\n" in (out / "manifest.txt").read_text()
+        name = "tof_density.csv" if mode == "kicked" else "ideal_dwell.csv"
+        data = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert data.shape == (2403, 3)
+        assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-4)
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = _small_config()
         a = cmd_run(cfg, tmp_path / "a")
@@ -482,17 +495,19 @@ class TestMain:
         path = tmp_path / "exp.cfg"
         path.write_text(emit_config(_small_config()), encoding="utf-8")
         run = ["run", "--config", str(path), "--out"]
-        assert main([*run, str(tmp_path / "kick0"), "--kick-at-zero"]) == 0
+        assert main([*run, str(tmp_path / "one"), "--workers", "1"]) == 0
         assert main([*run, str(tmp_path / "plain")]) == 0
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--theta-points", "many"])
+            main(["run", "--workers", "many"])
         assert exc.value.code == 2
         assert main([*run, str(tmp_path / "after_error")]) == 0
-        assert load_config(tmp_path / "kick0" / "config.txt").kick_at_zero is True
-        assert load_config(tmp_path / "plain" / "config.txt").kick_at_zero is False
+        default = propagators.resolve_workers(None)
+        for out, workers in (("one", 1), ("plain", default), ("after_error", default)):
+            manifest = (tmp_path / out / "manifest.txt").read_text(encoding="utf-8")
+            assert f"\nworkers = {workers}\n" in manifest
 
         env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).parents[1]))
-        for out, flag in (("kick0", ["--kick-at-zero"]), ("plain", [])):
+        for out, flag in (("one", ["--workers", "1"]), ("plain", [])):
             fresh = tmp_path / f"fresh_{out}"
             subprocess.run([sys.executable, "-m", "tofclock.cli", *run, str(fresh),
                             *flag], check=True, env=env, capture_output=True)
@@ -503,29 +518,29 @@ class TestMain:
                     got = (tmp_path / "after_error" / name).read_bytes()
                     assert _without_wall_time(got) == want
 
-    @pytest.mark.parametrize("preset", ["fig1-kicked-T5", "fig1-continuous"])
-    def test_undersampled_theta_points_rejected_before_propagating(
-        self, tmp_path, capsys, monkeypatch, preset
-    ):
-        def no_flight(*args):
-            raise AssertionError("propagated before checking --theta-points")
-
-        monkeypatch.setattr(propagators, "_free_flight", no_flight)
+    @pytest.mark.parametrize("option", [["--theta-points", "2048"], ["--kick-at-zero"]])
+    def test_removed_run_options_exit_two(self, tmp_path, option):
+        # the reading grid follows from the clock, and kick_at_zero is a config key
         out = tmp_path / "out"
-        argv = ["run", "--preset", preset, "--out", str(out), "--theta-points", "10"]
-        assert main(argv) == 2
-        assert "undersamples the 101-mode density" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "fig1-ideal", "--out", str(out), *option])
+        assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("theta_points", ["0", "10"])
-    def test_undersampled_theta_points_rejected_for_ideal_runs(
-        self, tmp_path, capsys, theta_points
-    ):
+    @pytest.mark.parametrize("key", [
+        key for section in config_io._SCHEMA.values()
+        for key, (typ, _) in section.items() if typ is float
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_value_exits_two(self, tmp_path, capsys, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", emit_config(_small_config()),
+                      flags=re.MULTILINE)
+        assert f"{key} = {value}\n" in text
+        path = tmp_path / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
-        argv = ["run", "--preset", "fig1-ideal", "--out", str(out),
-                "--theta-points", theta_points]
-        assert main(argv) == 2
-        assert "need at least 202" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"] {key}: '{value}' is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcinv
 
@@ -214,6 +215,30 @@ def _small_config(mode, **overrides):
     return tc.ExperimentConfig(**kwargs)
 
 
+@st.composite
+def _random_runs(draw):
+    """A small continuous or kicked config.  Kicked periods either make
+    omega T / 2 pi a fraction a / b with b < 2j+1, so the engine merges rows
+    of the product initial state, or leave omega free, so it merges none."""
+    j = draw(st.integers(1, 6))
+    t_final = draw(st.floats(1.0, 4.0))
+    omega = draw(st.floats(0.2, 3.0))
+    kind, kick_at_zero = draw(st.sampled_from([
+        ("continuous", False), ("merged", False), ("merged", True),
+        ("unmerged", False), ("unmerged", True)]))
+    if kind == "continuous":
+        extra = dict(mode="continuous", dt=t_final / draw(st.integers(5, 40)))
+    else:
+        T = draw(st.floats(0.2, t_final))
+        if kind == "merged":
+            a, b = draw(st.integers(1, 3)), draw(st.integers(1, 2 * j))
+            omega = 2.0 * math.pi * a / (b * T)
+        extra = dict(mode="kicked", kick_period=T, kick_at_zero=kick_at_zero)
+    region = tc.RegionSpec(-draw(st.floats(2.0, 8.0)), draw(st.floats(2.0, 8.0)))
+    return _small_config(clock=tc.ClockSpec(omega, j), region=region, t_final=t_final,
+                         grid=tc.SpatialGrid(-40.0, 40.0, 2**8), **extra)
+
+
 class TestThetaGridOracle:
     def test_guards(self):
         cfg = _small_config("continuous", grid=tc.SpatialGrid(-80.0, 80.0, 2**11))
@@ -272,6 +297,22 @@ class TestThetaGridOracle:
         np.testing.assert_allclose(
             res.theta_marginal(), density[:-1], atol=1e-10
         )
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_random_runs())
+    def test_random_configs_match_engines(self, cfg):
+        # the same marginal from the (x, theta) grid, and every channel's
+        # norm kept, whichever rows the engine merges
+        engine = evolve_continuous if cfg.mode == "continuous" else evolve_kicked
+        final = engine(cfg).final_state
+        _, density = theta_distribution(final, 64)
+        oracle = oracles.evolve_theta_grid(cfg, 64)
+        np.testing.assert_allclose(density[:-1], oracle.theta_marginal(), rtol=0, atol=1e-10)
+        n_modes = cfg.clock.n_modes
+        np.testing.assert_allclose(final.channel_norms(), np.full(n_modes, 1.0 / n_modes),
+                                   rtol=0, atol=1e-12)
+        assert final.norm() == pytest.approx(1.0, abs=1e-12)
+        assert oracle.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_time_grid_closed(self):
         clock = tc.ClockSpec(0.9, 6)

@@ -54,8 +54,13 @@ def _class_period(omega, a, b):
 
 
 def _class_count(clock, period, amplitudes):
-    classes = propagators._kick_classes(clock, period, amplitudes)
-    return clock.n_modes if classes is None else len(classes[1])
+    return len(propagators._kick_classes(clock, period, amplitudes)[1])
+
+
+def _assert_identity_classes(clock, period, amplitudes):
+    owner, reps = propagators._kick_classes(clock, period, amplitudes)
+    np.testing.assert_array_equal(owner, np.arange(clock.n_modes))
+    np.testing.assert_array_equal(reps, np.arange(clock.n_modes))
 
 
 def _kicked_composition(cfg, state):
@@ -415,6 +420,17 @@ class TestScheduleLoop:
         assert errors[0] == errors[1]
         assert errors[0].endswith("at t=0")
 
+    @pytest.mark.parametrize("engine, overrides", [
+        (evolve_continuous, {}),
+        (evolve_kicked, dict(mode="kicked", kick_period=0.7)),
+        (evolve_kicked, dict(mode="kicked", kick_period=_class_period(0.8, 1, 9))),
+    ])
+    def test_nan_amplitude_fails_norm_guard(self, engine, overrides):
+        state, _, _ = _free_state()
+        state.amplitudes[3, 100] = np.nan
+        with pytest.raises(NormDriftError, match=r"norm drift nan at t=0$"):
+            engine(_config(**overrides), initial_state=state)
+
     def test_norm_drift_stops_split_blocks_at_once(self, monkeypatch):
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         state, _, _ = _free_state(grid=grid)
@@ -445,7 +461,7 @@ class TestScheduleLoop:
         edges = (np.sum(p[:, :n_edge]) + np.sum(p[:, -n_edge:])) * dx
         sums = tc.core.row_sums(amps, slice(None), inner, slice(None, n_edge),
                                 slice(-n_edge, None))
-        sample = propagators._sample(0.0, sums, dx)
+        sample = propagators._sample(0.0, sums, dx, np.ones(7, dtype=int))
         assert sample.norm == pytest.approx(np.sum(norms), rel=0, abs=1e-14)
         assert sample.region_mass == pytest.approx(inside, rel=0, abs=1e-14)
         assert sample.boundary_mass == pytest.approx(edges, rel=0, abs=1e-14)
@@ -513,7 +529,12 @@ class TestKickClasses:
         cfg = get_preset("fig1-kicked-T1")
         amps = propagators._initial_state(cfg).amplitudes
         assert _class_count(cfg.clock, 1.0, amps) == 25
-        assert propagators._kick_classes(cfg.clock, 1.0 + 1e-9, amps) is None
+        _assert_identity_classes(cfg.clock, 1.0 + 1e-9, amps)
+
+    def test_no_period_gives_identity_classes(self):
+        # the continuous engine's classes: one row each, even for a product state
+        state, _, _ = _free_state()
+        _assert_identity_classes(state.clock, None, state.amplitudes)
 
     @pytest.mark.parametrize("product", [True, False])
     def test_merges_only_equal_rows(self, product):
@@ -530,8 +551,7 @@ class TestKickClasses:
             assert _class_count(cfg.clock, cfg.kick_period, state.amplitudes) == 9
             np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
         else:
-            assert propagators._kick_classes(cfg.clock, cfg.kick_period,
-                                             state.amplitudes) is None
+            _assert_identity_classes(cfg.clock, cfg.kick_period, state.amplitudes)
             np.testing.assert_array_equal(final, expected)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
