@@ -7,7 +7,7 @@ dimensional sanity checks remain possible).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +20,14 @@ NEG_MOMENTUM_MAX = 1e-6
 _SUPPORT_MARGIN = 8.0
 
 
+def _require_finite(spec) -> None:
+    """Reject a nan or infinite float field of a dataclass, by name."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalConfig:
     """Particle mass and Planck constant, both in atomic units."""
@@ -28,9 +36,10 @@ class PhysicalConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0:
+        _require_finite(self)
+        if not self.m > 0:
             raise ValueError(f"mass must be positive, got {self.m}")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
 
@@ -42,6 +51,7 @@ class RegionSpec:
     x_right: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.x_right > self.x_left:
             raise ValueError(
                 f"degenerate region: x_right={self.x_right} <= x_left={self.x_left}"
@@ -65,7 +75,8 @@ class ClockSpec:
     j: int
 
     def __post_init__(self):
-        if self.omega <= 0:
+        _require_finite(self)
+        if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.j < 0 or int(self.j) != self.j:
             raise ValueError(f"j must be a nonnegative integer, got {self.j}")
@@ -101,7 +112,8 @@ class WavepacketSpec:
     p0: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        _require_finite(self)
+        if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def momentum_std(self, hbar: float = 1.0) -> float:
@@ -130,6 +142,7 @@ class SpatialGrid:
     num_points: int
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.x_max > self.x_min:
             raise ValueError(
                 f"degenerate interval: x_max={self.x_max} <= x_min={self.x_min}"
@@ -295,6 +308,7 @@ class KickSchedule:
     t_final: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0 < self.period <= self.t_final:
             raise ValueError(
                 f"need 0 < T <= t_final, got T={self.period}, t_final={self.t_final}"
@@ -324,13 +338,14 @@ class ExperimentConfig:
     boundary_mass_tol: float = 1e-4
 
     def __post_init__(self):
+        _require_finite(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, got {self.placement!r}"
             )
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.region.x_left < self.grid.x_min or self.region.x_right > self.grid.x_max:
             raise ValueError("coupling region must lie inside the spatial grid")
@@ -355,7 +370,7 @@ class ExperimentConfig:
         if self.dt is None:
             tf = classical_tof(self.region.width, self.packet.p0, self.physical.m)
             object.__setattr__(self, "dt", min(self.clock.tau, tf) / 200.0)
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
     @property

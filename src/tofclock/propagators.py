@@ -114,10 +114,13 @@ def _initial_state(config: ExperimentConfig) -> ChannelState:
     return product_state(psi, config.clock, config.grid)
 
 
-# a state of fewer amplitudes runs serially: split over two threads on two
-# vCPUs, a 17 x 512 state ran slower than on one, and so did the 25 x 4096
-# rows fig1-kicked-T1 keeps after merging kick classes (69 against 60 ms)
-_MIN_BLOCK_VALUES = 2**16
+# a block holds at least this many amplitudes, so a smaller state runs
+# serially.  On two vCPUs with workers=2 (medians, alternating runs): a
+# continuous 17 x 2048 state ran in 59 ms split against 82 ms whole, and
+# 17 x 4096 in 113 against 183 ms; the fig1-kicked-T0.5 tick stack at 2^12
+# points, split from 16 live rows on, in 128-135 against 139-152 ms (T1 and
+# T2 within noise either way); but 17 x 1024 gained nothing (34 ms either way)
+_MIN_BLOCK_VALUES = 2**15
 _NORM_TOL = 1e-8
 _SNAPSHOTS = 20  # guard checks in a continuous run, besides the initial one
 
@@ -134,11 +137,30 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _sample(
-    t: float, sums: np.ndarray, dx: float, counts: np.ndarray
-) -> DiagnosticSample:
-    """Diagnostics from per-row sums; row i stands for `counts[i]` channels."""
-    total, inside, left, right = (sums * counts).sum(axis=1)
+def _block_count(workers: int, rows: int, num_points: int) -> int:
+    # at least two rows a block: einsum sums a lone row in buffer-sized
+    # chunks, so its guard sums would depend on the split
+    return max(1, min(workers, rows // 2, rows * num_points // _MIN_BLOCK_VALUES))
+
+
+def _pool(blocks: int):
+    """Threads for every block but the first, which the caller runs; on an
+    error or interrupt, leaving the pool waits only for the other blocks'
+    current work."""
+    return ThreadPoolExecutor(blocks - 1) if blocks > 1 else contextlib.nullcontext()
+
+
+def _flight_propagators(
+    config: ExperimentConfig, segments: list[tuple[float, float]]
+) -> dict[float, np.ndarray]:
+    m, hbar = config.physical.m, config.physical.hbar
+    return {flight: _kinetic_propagator(config.grid, flight, m, hbar)
+            for flight in {flight for flight, _ in segments} if flight}
+
+
+def _sample(t: float, sums: np.ndarray, dx: float) -> DiagnosticSample:
+    """Diagnostics from per-channel row sums."""
+    total, inside, left, right = sums.sum(axis=1)
     return DiagnosticSample(
         t=t,
         norm=float(total) * dx,
@@ -162,21 +184,18 @@ def _check_guards(config: ExperimentConfig, sample: DiagnosticSample) -> Diagnos
 def _run_schedule(
     config: ExperimentConfig,
     amps: np.ndarray,
-    modes: np.ndarray,
-    counts: np.ndarray,
     segments: list[tuple[float, float]],
     check_every: int,
     workers: int | None,
 ) -> list[DiagnosticSample]:
-    """The one time loop of both engines; evolves `amps` in place.
+    """The channel path of both engines; evolves `amps` in place.
 
-    Row i of `amps` is a channel of mode `modes[i]`, and stands for
-    `counts[i]` channels in the guard sums.  For each (flight, phase)
-    segment: an exact free flight of duration `flight` (none when it is 0)
-    followed by the coupling accrued over `phase` (none when it is 0).  The
-    first segment, (0, phase), couples before any flight.  Guards run on
-    the initial state, every `check_every` segments after the first and
-    after the last one.
+    Row i of `amps` is the channel of mode `clock.modes[i]`.  For each
+    (flight, phase) segment: an exact free flight of duration `flight`
+    (none when it is 0) followed by the coupling accrued over `phase` (none
+    when it is 0).  The first segment, (0, phase), couples before any
+    flight.  Guards run on the initial state, every `check_every` segments
+    after the first and after the last one.
 
     The channels never mix, so the rows are split into up to `workers`
     contiguous blocks (views of one array); a small state stays in one
@@ -185,19 +204,13 @@ def _run_schedule(
     its per-row sums, which are reduced in row order, so neither the
     diagnostics nor the amplitudes depend on the number of blocks.
     """
-    grid, omega = config.grid, config.clock.omega
+    grid, clock = config.grid, config.clock
     region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
-    # at least two rows a block: einsum sums a lone row in buffer-sized
-    # chunks, so its guard sums would depend on the split
-    k = max(1, min(resolve_workers(workers), amps.shape[0] // 2,
-                   amps.size // _MIN_BLOCK_VALUES))
+    k = _block_count(resolve_workers(workers), amps.shape[0], grid.num_points)
     blocks = np.array_split(amps, k)
-    flights = {
-        flight: _kinetic_propagator(grid, flight, config.physical.m, config.physical.hbar)
-        for flight in {flight for flight, _ in segments} if flight
-    }
+    flights = _flight_propagators(config, segments)
     phases = {
-        phase: np.array_split(_coupling_phases(modes, omega, phase), k)
+        phase: np.array_split(_coupling_phases(clock.modes, clock.omega, phase), k)
         for phase in {phase for _, phase in segments} if phase
     }
     # the steps between guard checks; the first check is on the initial state
@@ -212,17 +225,13 @@ def _run_schedule(
         block = blocks[b]
         for flight, phase in interval:
             if flight:
-                out = _free_flight(block, flights[flight])
-                if not np.shares_memory(out, block):
-                    block[...] = out
+                _fly(block, flights[flight])
             if phase:
                 _couple(block, phases[phase][b], region)
         return row_sums(block, slice(None), region, slice(None, n_edge), slice(-n_edge, None))
 
     t, diagnostics = 0.0, []
-    # on an error or interrupt, leaving the pool waits only for the other
-    # blocks' current interval
-    with ThreadPoolExecutor(k - 1) if k > 1 else contextlib.nullcontext() as pool:
+    with _pool(k) as pool:
         for interval in intervals:
             futures = [pool.submit(advance, b, interval) for b in range(1, k)]
             sums = np.concatenate(
@@ -230,42 +239,115 @@ def _run_schedule(
             )
             for flight, _ in interval:
                 t += flight
-            diagnostics.append(_check_guards(config, _sample(t, sums, dx, counts)))
+            diagnostics.append(_check_guards(config, _sample(t, sums, dx)))
     return diagnostics
 
 
-def _kick_classes(
-    clock: ClockSpec, period: float | None, amplitudes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows that a run kicked with `period` may propagate as one.
+def _fly(rows: np.ndarray, propagator: np.ndarray) -> None:
+    out = _free_flight(rows, propagator)
+    if not np.shares_memory(out, rows):
+        rows[...] = out
 
-    Row i gets the kick phase exp(-i n_i omega T).  With q = omega T / 2 pi
-    and p the smallest 1 <= p < 2j+1 for which q p is an integer (to a few
-    ulp), rows i and i + p get the same phase mod 2 pi at every kick, and
-    every channel is free between kicks.  So rows of one such class whose
-    initial amplitudes are bitwise equal stay equal, up to the last bits in
-    which exp of n omega T and of n omega T + 2 pi q p differ.
 
-    Returns (owner, representatives): `owner[i]` is the position in
-    `representatives` of the row that row i is merged into.  Every row is
-    its own class when there is no period or no such p.
+def _tick_rows(
+    clock: ClockSpec,
+    period: float | None,
+    segments: list[tuple[float, float]],
+    amplitudes: np.ndarray,
+) -> int | None:
+    """Rows of the tick stack for a run kicked with `period`, or None when
+    the run takes the channel path.
+
+    Row m of the stack holds the packet amplitude that was inside the region
+    at exactly m kicks, which needs no clock: channel n is
+    sum_m z_n^m Phi_m with z_n = exp(-i n omega T), as long as every
+    initial row is the same (bitwise) packet.  With q = omega T / 2 pi and
+    p the smallest p >= 1 for which q p is an integer (to a few ulp),
+    z_n^p = 1, so row m + p folds onto row m.  After k kicks min(k + 1, p)
+    rows are live.  The ticks are taken when their row-flights are fewer
+    than the channel path's, 2j+1 a flight.
     """
-    n = clock.n_modes
-    p = n
-    if period is not None:
-        q = clock.omega * period / (2.0 * math.pi)
-        p = next((p for p in range(1, n)
-                  if abs(q * p - round(q * p)) <= 4 * math.ulp(q * p)), n)
-    if p == n:  # a class of one row each, found without comparing rows
-        return np.arange(n), np.arange(n)
+    if period is None:
+        return None
+    kicks = sum(1 for _, phase in segments if phase)
+    q = clock.omega * period / (2.0 * math.pi)
+    p = next((p for p in range(1, kicks + 1)
+              if abs(q * p - round(q * p)) <= 4 * math.ulp(q * p)), kicks + 1)
+    live, tick_flights, flights = 1, 0, 0
+    for flight, phase in segments:
+        if flight:
+            tick_flights, flights = tick_flights + live, flights + 1
+        if phase:
+            live = min(live + 1, p)
+    if tick_flights >= clock.n_modes * flights:
+        return None
     bits = np.ascontiguousarray(amplitudes).view(np.uint64)
-    owner, reps = np.full(n, -1), []
-    for i in range(n):
-        if owner[i] < 0:
-            members = owner[i::p]  # a view: row i's class from row i on
-            members[(members < 0) & (bits[i::p] == bits[i]).all(axis=1)] = len(reps)
-            reps.append(i)
-    return owner, np.array(reps)
+    if not (bits == bits[0]).all():
+        return None
+    return min(p, kicks + 1)
+
+
+def _run_ticks(
+    config: ExperimentConfig,
+    stack: np.ndarray,
+    clock_phases: np.ndarray,
+    segments: list[tuple[float, float]],
+    workers: int | None,
+) -> tuple[int, list[DiagnosticSample]]:
+    """The tick path of `evolve_kicked`; evolves `stack` in place and returns
+    the number of live rows and the diagnostics.
+
+    `stack` holds row 0 of a product state in its row 0 and zeros elsewhere,
+    and `clock_phases[n, m]` is z_n^m.  A flight propagates the live rows,
+    split into blocks by the channel path's rule; a kick moves the region
+    part of row m to row m + 1 (cyclically once the stack is full) on the
+    calling thread.  Guards run after every segment but the first, on the
+    exact masses of the channel state: over columns S,
+    dx sum_{m,m'} H[m - m'] G[m, m'] with G = Phi_S Phi_S^H and
+    H_d = sum_n z_n^d.  The norm is the stack's, (2j+1) dx sum_m |Phi_m|^2,
+    which equals the channels' in exact arithmetic.
+    """
+    grid = config.grid
+    region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
+    n_modes, rows = clock_phases.shape
+    # H_d is real and even (the modes are -j..j), so only Re G counts, and
+    # Re G = X X^T with X the real and imaginary parts of Phi_S side by side
+    toeplitz = (clock_phases.conj().T @ clock_phases).real
+    workers = resolve_workers(workers)
+    flights = _flight_propagators(config, segments)
+    live = 1
+
+    def mass(columns: np.ndarray) -> float:
+        x = columns.view(np.float64)
+        return float(np.vdot(toeplitz[:live, :live], x @ x.T)) * dx
+
+    def sample(t: float) -> DiagnosticSample:
+        phi = stack[:live]
+        edges = np.concatenate((phi[:, :n_edge], phi[:, -n_edge:]), axis=1)
+        return _check_guards(config, DiagnosticSample(
+            t=t, norm=float(n_modes * np.vdot(phi, phi).real) * dx,
+            region_mass=mass(phi[:, region]), boundary_mass=mass(edges),
+        ))
+
+    t, diagnostics = 0.0, [sample(0.0)]
+    with _pool(_block_count(workers, rows, grid.num_points)) as pool:
+        for i, (flight, phase) in enumerate(segments):
+            if flight:
+                blocks = np.array_split(
+                    stack[:live], _block_count(workers, live, grid.num_points))
+                futures = [pool.submit(_fly, block, flights[flight]) for block in blocks[1:]]
+                _fly(blocks[0], flights[flight])
+                for future in futures:
+                    future.result()
+                t += flight
+            if phase:
+                top = stack[live - 1, region].copy() if live == rows else 0.0
+                live = min(live + 1, rows)
+                stack[1:live, region] = stack[:live - 1, region]
+                stack[0, region] = top
+            if i:
+                diagnostics.append(sample(t))
+    return live, diagnostics
 
 
 def _evolve(
@@ -276,14 +358,22 @@ def _evolve(
     check_every: int,
     workers: int | None,
 ) -> Trajectory:
-    """Runs `segments` on one row per `_kick_classes` class of `period`
-    and copies each class's row back into all of its channels."""
+    """Runs `segments` on the tick stack when `_tick_rows` allows it (every
+    phase being `period`, and a guard check after every segment, as
+    `evolve_kicked` asks), and on one row per channel otherwise."""
     state = initial_state if initial_state is not None else _initial_state(config)
-    owner, reps = _kick_classes(config.clock, period, state.amplitudes)
-    amps = state.amplitudes[reps]
-    diagnostics = _run_schedule(config, amps, config.clock.modes[reps], np.bincount(owner),
-                                segments, check_every, workers)
-    return Trajectory(ChannelState(state.clock, state.grid, amps[owner]), diagnostics)
+    rows = _tick_rows(config.clock, period, segments, state.amplitudes)
+    if rows is None:
+        amps = state.amplitudes.copy()
+        diagnostics = _run_schedule(config, amps, segments, check_every, workers)
+    else:
+        stack = np.zeros((rows, config.grid.num_points), dtype=complex)
+        stack[0] = state.amplitudes[0]
+        clock_phases = np.exp(-1j * config.clock.omega * period
+                              * np.outer(config.clock.modes, np.arange(rows)))
+        live, diagnostics = _run_ticks(config, stack, clock_phases, segments, workers)
+        amps = clock_phases[:, :live] @ stack[:live]
+    return Trajectory(ChannelState(state.clock, state.grid, amps), diagnostics)
 
 
 def evolve_continuous(
@@ -296,7 +386,7 @@ def evolve_continuous(
     Per step of size dt: half coupling phase, exact kinetic step, half
     coupling phase; second order in dt.  Adjacent half phases between steps
     are merged into full phases, so this is a kicked schedule with T = dt
-    and half kicks at both ends.  Every row is propagated as its own class.
+    and half kicks at both ends, run on one row per channel.
     """
     n_steps = max(1, math.ceil(config.t_final / config.dt - 1e-12))
     dt = config.t_final / n_steps
@@ -316,8 +406,9 @@ def evolve_kicked(
     instantaneous coupling kicks at t = T, 2T, ... (or also at t = 0 with
     kick_at_zero), plus a final partial free flight up to t_final.
 
-    No splitting error: the inter-kick Hamiltonian is purely kinetic.  Rows
-    that `_kick_classes` merges are propagated once and copied at the end.
+    No splitting error: the inter-kick Hamiltonian is purely kinetic.  A
+    product state runs in the tick basis when `_tick_rows` finds it cheaper,
+    and the clock is applied once at the end.
     """
     schedule = config.kick_schedule
     if schedule is None:

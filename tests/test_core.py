@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import tofclock as tc
-from tofclock.core import DOMINANCE_FACTOR, modular_phase, validate_regime
+from tofclock.core import DOMINANCE_FACTOR, KickSchedule, modular_phase, validate_regime
+from tofclock.presets import get_preset
 
 
 class TestSpecs:
@@ -278,6 +280,41 @@ class TestExperimentConfig:
         # p0 = 1, sigma = 1: 2.3% of the momentum density is negative
         with pytest.raises(ValueError):
             _fig1_config(packet=tc.WavepacketSpec(1.0, -30.0, 1.0))
+
+
+def _float_fields():
+    """(spec name or None for the config itself, field) for every float
+    field of a kicked config with an explicit dt."""
+    cfg = get_preset("fig1-kicked-T5")
+    out = []
+    for spec in (None, "physical", "region", "clock", "packet", "grid"):
+        obj = cfg if spec is None else getattr(cfg, spec)
+        out += [(spec, f.name) for f in dataclasses.fields(obj)
+                if isinstance(getattr(obj, f.name), float)]
+    return out
+
+
+class TestNonFiniteValues:
+    def test_every_float_field_is_covered(self):
+        assert len(_float_fields()) == 15
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spec, name", _float_fields())
+    def test_rejected_by_name(self, spec, name, value):
+        cfg = get_preset("fig1-kicked-T5")
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            if spec is None:
+                dataclasses.replace(cfg, **{name: value})
+            else:
+                dataclasses.replace(getattr(cfg, spec), **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["period", "t_final"])
+    def test_kick_schedule(self, name, value):
+        kwargs = dict(period=1.0, t_final=10.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            KickSchedule(**kwargs)
 
 
 class TestRegimeReport:

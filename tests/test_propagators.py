@@ -53,14 +53,32 @@ def _class_period(omega, a, b):
     return 2.0 * math.pi * a / (b * omega)
 
 
-def _class_count(clock, period, amplitudes):
-    return len(propagators._kick_classes(clock, period, amplitudes)[1])
+class _Taken(Exception):
+    pass
 
 
-def _assert_identity_classes(clock, period, amplitudes):
-    owner, reps = propagators._kick_classes(clock, period, amplitudes)
-    np.testing.assert_array_equal(owner, np.arange(clock.n_modes))
-    np.testing.assert_array_equal(reps, np.arange(clock.n_modes))
+def _path(cfg, state=None):
+    """("ticks", stack rows) or ("channels", rows) that evolve_kicked picks
+    for `cfg` and `state`, found without propagating anything."""
+    def ticks(config, stack, clock_phases, segments, workers):
+        raise _Taken("ticks", stack.shape[0])
+
+    def channels(config, amps, segments, check_every, workers):
+        raise _Taken("channels", amps.shape[0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagators, "_run_ticks", ticks)
+        mp.setattr(propagators, "_run_schedule", channels)
+        with pytest.raises(_Taken) as info:
+            evolve_kicked(cfg, initial_state=state)
+    return info.value.args
+
+
+def _weighted(state):
+    """`state` with unequal channel weights (same norm): the channel path."""
+    weights = np.linspace(0.9, 1.1, state.clock.n_modes)
+    state.amplitudes *= (weights / np.sqrt(np.mean(weights**2)))[:, None]
+    return state
 
 
 def _kicked_composition(cfg, state):
@@ -273,10 +291,12 @@ class _SpyExecutor(propagators.ThreadPoolExecutor):
 
 class TestScheduleLoop:
     def test_kicked_equals_public_operator_composition(self):
-        # kick at zero, 7 kicks and a remainder flight: every segment kind
+        # kick at zero, 7 kicks and a remainder flight: every segment kind,
+        # on the channel path (unequal rows)
         cfg = _config(mode="kicked", kick_period=0.7, kick_at_zero=True)
-        state = _kicked_composition(cfg, _free_state()[0])
-        traj = evolve_kicked(cfg)
+        initial = _weighted(_free_state()[0])
+        state = _kicked_composition(cfg, initial)
+        traj = evolve_kicked(cfg, initial_state=initial)
         np.testing.assert_array_equal(traj.final_state.amplitudes, state.amplitudes)
 
     def test_continuous_equals_strang_composition(self):
@@ -305,15 +325,16 @@ class TestScheduleLoop:
         np.testing.assert_array_equal(state.amplitudes, before)
         assert not np.shares_memory(traj.final_state.amplitudes, state.amplitudes)
 
-    # 17 x 2^14 values split into at most 4 blocks (by size); 5 x 2^16 into
-    # at most 2 (two rows or more a block)
+    # 17 x 2^13 values split into at most 4 blocks (by size); 5 x 2^16 into
+    # at most 2 (two rows or more a block).  The kicked run has 40 flights,
+    # too many for the tick path.
     @pytest.mark.parametrize("clock, grid, expected_blocks", [
-        (tc.ClockSpec(0.8, 8), tc.SpatialGrid(-40.0, 40.0, 2**14), [2, 3, 4]),
+        (tc.ClockSpec(0.8, 8), tc.SpatialGrid(-40.0, 40.0, 2**13), [2, 3, 4]),
         (tc.ClockSpec(0.8, 2), tc.SpatialGrid(-40.0, 40.0, 2**16), [2, 2, 2]),
     ])
     @pytest.mark.parametrize("overrides", [
         dict(t_final=0.1),
-        dict(mode="kicked", kick_period=0.03, kick_at_zero=True, t_final=0.1),
+        dict(mode="kicked", kick_period=0.0025, kick_at_zero=True, t_final=0.1),
     ])
     def test_blocks_do_not_change_result(self, monkeypatch, clock, grid,
                                          expected_blocks, overrides):
@@ -335,7 +356,7 @@ class TestScheduleLoop:
 
         monkeypatch.setattr(propagators, "ThreadPoolExecutor", no_threads)
         cfg = _config()
-        assert cfg.clock.n_modes * cfg.grid.num_points < 2**16
+        assert cfg.clock.n_modes * cfg.grid.num_points < 2**15
         run_experiment(cfg, workers=4)
         run_experiment(_config(mode="kicked", kick_period=0.7), workers=4)
 
@@ -461,7 +482,7 @@ class TestScheduleLoop:
         edges = (np.sum(p[:, :n_edge]) + np.sum(p[:, -n_edge:])) * dx
         sums = tc.core.row_sums(amps, slice(None), inner, slice(None, n_edge),
                                 slice(-n_edge, None))
-        sample = propagators._sample(0.0, sums, dx, np.ones(7, dtype=int))
+        sample = propagators._sample(0.0, sums, dx)
         assert sample.norm == pytest.approx(np.sum(norms), rel=0, abs=1e-14)
         assert sample.region_mass == pytest.approx(inside, rel=0, abs=1e-14)
         assert sample.boundary_mass == pytest.approx(edges, rel=0, abs=1e-14)
@@ -478,113 +499,207 @@ class TestScheduleLoop:
                                    rtol=0, atol=1e-14)
 
 
+def _expected_path(cfg, p, product):
+    """The path `_tick_rows` should pick: the tick stack when the state is a
+    product and its row-flights, min(live rows, p) a flight, are fewer than
+    2j+1 a flight; `p` is the fold period (None for none)."""
+    sched = cfg.kick_schedule
+    kicks = sched.n_kicks + cfg.kick_at_zero
+    flights = sched.n_kicks + (cfg.t_final - sched.n_kicks * sched.period
+                               > 1e-12 * cfg.t_final)
+    p = p or kicks + 1
+    tick_flights = sum(min(1 + cfg.kick_at_zero + i, p) for i in range(flights))
+    if product and tick_flights < cfg.clock.n_modes * flights:
+        return ("ticks", min(p, kicks + 1))
+    return ("channels", cfg.clock.n_modes)
+
+
 @st.composite
 def _random_kicked_runs(draw):
     """A small kicked config with omega T / 2 pi either a fraction a / b,
-    b < 2j+1 (rows b apart share every kick phase), or a random float, and
-    an initial state whose rows repeat a few weights (only equal rows may
-    be merged); also the expected number of propagated rows."""
+    b < 2j+1 (the tick stack folds at p = b / gcd(a, b)), or a random float,
+    and an initial state that is a product or whose rows repeat a few
+    weights; also the path and stack size `_tick_rows` should pick."""
     j = draw(st.integers(1, 6))
     n_modes = 2 * j + 1
     T = draw(st.floats(0.3, 1.2))
-    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
-                            min_size=n_modes, max_size=n_modes))
+    if draw(st.booleans()):
+        weights = [1.0] * n_modes
+    else:
+        weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                min_size=n_modes, max_size=n_modes))
     if draw(st.booleans()):
         a, b = draw(st.integers(1, 3)), draw(st.integers(1, n_modes - 1))
         omega, p = 2.0 * math.pi * a / (b * T), b // math.gcd(a, b)
-        rows = len({(i % p, w) for i, w in enumerate(weights)})
     else:
-        omega, rows = draw(st.floats(0.2, 3.0)), n_modes
+        omega, p = draw(st.floats(0.2, 3.0)), None
     grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
     cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
                   kick_period=T, kick_at_zero=draw(st.booleans()))
     weights = np.array(weights) / math.sqrt(np.sum(np.square(weights)))
     psi = tc.init_gaussian(cfg.packet, grid)
-    return cfg, tc.ChannelState(cfg.clock, grid, np.outer(weights, psi)), rows
+    state = tc.ChannelState(cfg.clock, grid, np.outer(weights, psi))
+    return cfg, state, _expected_path(cfg, p, len(set(weights)) == 1)
+
+
+@st.composite
+def _random_tick_runs(draw):
+    """A small kicked product-state config that takes the tick path: either
+    omega T / 2 pi = a / b with 3 to 30 kicks and a stack that folds at
+    p = b / gcd(a, b) <= kicks / 2, or a random float with at most 2j+1
+    flights and no fold."""
+    if draw(st.booleans()):
+        j = draw(st.integers(1, 6))
+        T = draw(st.floats(0.1, 0.5))
+        kicks = math.floor(3.0 / T + 1e-12)
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, min(2 * j, kicks // 2)))
+        omega = 2.0 * math.pi * a / (b * T)
+    else:
+        j = draw(st.integers(3, 6))
+        T = draw(st.floats(3.0 / (2 * j + 1), 1.2))
+        omega = draw(st.floats(0.2, 3.0))
+    grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
+    return _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
+                   kick_period=T, kick_at_zero=draw(st.booleans()))
 
 
 class TestKickClasses:
+    """Which rows a kicked run propagates: the tick stack of a product
+    state when it is cheaper, one row per channel otherwise."""
+
+    # the most rows a flight propagates; T0.1 takes the channel path, since
+    # 31375 tick row-flights are not fewer than 101 x 250
     @pytest.mark.parametrize("T, expected", [
-        (0.1, 101), (0.2, 101), (0.5, 50), (1.0, 25), (2.0, 25), (5.0, 5),
+        (0.1, 101), (0.2, 125), (0.5, 50), (1.0, 25), (2.0, 13), (5.0, 5),
     ])
     def test_fig1_class_counts(self, T, expected):
-        cfg = get_preset(f"fig1-kicked-T{T:g}")
-        state = propagators._initial_state(cfg)
-        assert _class_count(cfg.clock, T, state.amplitudes) == expected
+        path = "channels" if T == 0.1 else "ticks"
+        assert _path(get_preset(f"fig1-kicked-T{T:g}")) == (path, expected)
 
     @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 5.0])
     def test_members_share_modular_phase(self, T):
-        cfg = get_preset(f"fig1-kicked-T{T:g}")
-        owner, reps = propagators._kick_classes(
-            cfg.clock, T, propagators._initial_state(cfg).amplitudes)
-        modes = cfg.clock.modes
-        for i, c in enumerate(owner):
-            nu = modular_phase(int(modes[i]), cfg.clock, T)[0]
-            nu_rep = modular_phase(int(modes[reps[c]]), cfg.clock, T)[0]
-            assert abs(math.remainder(nu - nu_rep, 2.0 * math.pi)) < 1e-12
+        # over two clock periods every stack folds, at p rows: channels p
+        # apart share every kick phase (z_n^p = 1), and no fewer rows would do
+        cfg = dataclasses.replace(get_preset(f"fig1-kicked-T{T:g}"), t_final=50.0)
+        _, p = _path(cfg)
+        assert p <= cfg.kick_schedule.n_kicks
+        nu = np.array([modular_phase(int(n), cfg.clock, T)[0] for n in cfg.clock.modes])
+
+        def spread(rows):  # largest phase gap, in turns, of channels `rows` apart
+            turns = (nu[rows:] - nu[:-rows]) / (2.0 * math.pi)
+            return np.abs(turns - np.round(turns)).max()
+
+        assert spread(p) < 1e-12
+        assert all(spread(rows) > 1e-3 for rows in range(1, p))
 
     def test_near_coincident_phases_not_merged(self):
-        # omega T / 2 pi = 0.04 (1 + 1e-9): rows 25 apart, the would-be
-        # classes, differ in kick phase by 1e-9 of a turn
-        cfg = get_preset("fig1-kicked-T1")
-        amps = propagators._initial_state(cfg).amplitudes
-        assert _class_count(cfg.clock, 1.0, amps) == 25
-        _assert_identity_classes(cfg.clock, 1.0 + 1e-9, amps)
+        # omega T / 2 pi = 1/9 folds 13 kicks into 9 rows; 1/9 (1 + 1e-9)
+        # differs by 1e-9 of a turn a kick and does not fold
+        T = _class_period(0.8, 1, 9)
+        cfg = _config(mode="kicked", kick_period=T, t_final=12.0)
+        assert cfg.kick_schedule.n_kicks == 13
+        assert _path(cfg) == ("ticks", 9)
+        assert _path(dataclasses.replace(cfg, kick_period=T * (1 + 1e-9))) == ("ticks", 14)
 
-    def test_no_period_gives_identity_classes(self):
-        # the continuous engine's classes: one row each, even for a product state
-        state, _, _ = _free_state()
-        _assert_identity_classes(state.clock, None, state.amplitudes)
+    def test_no_period_gives_identity_classes(self, monkeypatch):
+        # the continuous engine propagates one row per channel
+        def no_ticks(*args):
+            raise AssertionError("the continuous engine took the tick path")
+
+        monkeypatch.setattr(propagators, "_run_ticks", no_ticks)
+        evolve_continuous(_config(t_final=0.1))
 
     @pytest.mark.parametrize("product", [True, False])
     def test_merges_only_equal_rows(self, product):
-        # omega T / 2 pi = 1/9: rows i and i + 9 share every kick phase
+        # omega T / 2 pi = 1/9; a state with unequal rows takes the channel
+        # path and is bitwise the operator composition
         cfg = _config(mode="kicked", kick_period=_class_period(0.8, 1, 9),
                       kick_at_zero=True)
         state, _, _ = _free_state()
         if not product:
-            weights = np.linspace(0.9, 1.1, 17)
-            state.amplitudes *= (weights / np.sqrt(np.mean(weights**2)))[:, None]
+            _weighted(state)
         expected = _kicked_composition(cfg, state).amplitudes
         final = evolve_kicked(cfg, initial_state=state).final_state.amplitudes
         if product:
-            assert _class_count(cfg.clock, cfg.kick_period, state.amplitudes) == 9
+            assert _path(cfg, state) == ("ticks", 7)
             np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
         else:
-            _assert_identity_classes(cfg.clock, cfg.kick_period, state.amplitudes)
+            assert _path(cfg, state) == ("channels", 17)
             np.testing.assert_array_equal(final, expected)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(_random_kicked_runs())
     def test_random_configs_match_operator_composition(self, run):
-        cfg, state, rows = run
-        assert _class_count(cfg.clock, cfg.kick_period, state.amplitudes) == rows
+        cfg, state, path = run
+        assert _path(cfg, state) == path
         final = evolve_kicked(cfg, initial_state=state).final_state
         np.testing.assert_allclose(final.channel_norms(), state.channel_norms(),
                                    rtol=0, atol=1e-12)
         expected = _kicked_composition(cfg, state).amplitudes
         np.testing.assert_allclose(final.amplitudes, expected, rtol=0, atol=1e-12)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_random_tick_runs())
+    def test_random_configs_diagnostics_match_channel_path(self, cfg):
+        assert _path(cfg)[0] == "ticks"
+        ticks = evolve_kicked(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagators, "_tick_rows", lambda *args: None)
+            channels = evolve_kicked(cfg)
+        assert len(ticks.diagnostics) == len(channels.diagnostics)
+        for a, b in zip(ticks.diagnostics, channels.diagnostics):
+            assert a.t == b.t
+            assert a.norm == pytest.approx(b.norm, rel=0, abs=1e-13)
+            assert a.region_mass == pytest.approx(b.region_mass, rel=0, abs=1e-13)
+            assert a.boundary_mass == pytest.approx(b.boundary_mass, rel=0, abs=1e-13)
+        np.testing.assert_allclose(ticks.final_state.amplitudes,
+                                   channels.final_state.amplitudes, rtol=0, atol=1e-12)
+
+    def test_workers_do_not_change_result(self, monkeypatch):
+        # 13 kicks fold into 9 rows of 2^14 points: from 4 live rows on, a
+        # flight splits into two blocks, and from 8 on into four
+        monkeypatch.setattr(propagators, "ThreadPoolExecutor", _SpyExecutor)
+        monkeypatch.setattr(_SpyExecutor, "sizes", [])
+        cfg = _config(grid=tc.SpatialGrid(-40.0, 40.0, 2**14), mode="kicked",
+                      kick_period=_class_period(0.8, 1, 9), t_final=12.0)
+        assert _path(cfg) == ("ticks", 9)
+        runs = [run_experiment(cfg, workers=w) for w in (1, 2, 4)]
+        assert [size + 1 for size in _SpyExecutor.sizes] == [2, 4]
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run.final_state.amplitudes,
+                                          runs[0].final_state.amplitudes)
+            assert run.diagnostics == runs[0].diagnostics
+
+    def test_fig1_t02_leak_message(self):
+        # the tick path's masses fail the boundary guard at the same kick and
+        # to the same digits as the channel path did
+        cfg = dataclasses.replace(get_preset("fig1-kicked-T0.2"),
+                                  grid=tc.SpatialGrid(-250.0, 150.0, 2**12))
+        assert _path(cfg) == ("ticks", 125)
+        with pytest.raises(BoundaryLeakError) as info:
+            run_experiment(cfg)
+        assert str(info.value) == "boundary occupancy 2.053e-02 at t=20"
+
     @pytest.mark.parametrize("error, overrides, scale", [
         (BoundaryLeakError, dict(t_final=12.0, boundary_mass_tol=1e-6), 1.0),
         (NormDriftError, dict(t_final=3.0), 1.0 + 1e-6),
     ])
     def test_guards_same_as_unmerged_run(self, error, overrides, scale):
-        # every class of omega T / 2 pi = 1/9 has at most two rows, so a
-        # 1-ulp change to one row of each leaves nothing to merge
+        # a 1-ulp change to one row of the product state sends it down the
+        # channel path
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         cfg = _config(grid=grid, mode="kicked", kick_period=_class_period(0.8, 1, 9),
                       **overrides)
-        merged, _, _ = _free_state(grid=grid)
-        merged.amplitudes *= scale
-        unmerged = merged.copy()
-        bits = unmerged.amplitudes.view(np.float64)
-        peak = np.argmax(np.abs(merged.amplitudes[0]))
-        bits[9:, 2 * peak] = np.nextafter(bits[9:, 2 * peak], np.inf)
-        assert _class_count(cfg.clock, cfg.kick_period, merged.amplitudes) == 9
-        assert _class_count(cfg.clock, cfg.kick_period, unmerged.amplitudes) == 17
+        product, _, _ = _free_state(grid=grid)
+        product.amplitudes *= scale
+        perturbed = product.copy()
+        bits = perturbed.amplitudes.view(np.float64)
+        peak = np.argmax(np.abs(product.amplitudes[0]))
+        bits[9, 2 * peak] = np.nextafter(bits[9, 2 * peak], np.inf)
+        assert _path(cfg, product)[0] == "ticks"
+        assert _path(cfg, perturbed) == ("channels", 17)
         messages = []
-        for state in (unmerged, merged):
+        for state in (perturbed, product):
             for workers in (1, 2, 4):
                 with pytest.raises(error) as info:
                     evolve_kicked(cfg, initial_state=state, workers=workers)
