@@ -120,9 +120,13 @@ def cmd_run(
     label: str = "",
 ) -> Path:
     workers = resolve_workers(workers)
+    out_dir = Path(out_dir)
+    # a file in the way fails now, not after the propagation
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(f"run directory {out_dir}: {path} is not a directory")
     result = run_experiment(config, workers=workers)
     # made only now, so that a failed run leaves no empty run directory
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = result.regime
     warnings = regime_warnings(config, report)
@@ -289,7 +293,7 @@ def main(argv=None) -> int:
         elif args.command == "preset":
             for name in preset_names():
                 print(name)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PropagationError as exc:

@@ -261,30 +261,24 @@ def _tick_rows(
     Row m of the stack holds the packet amplitude that was inside the region
     at exactly m kicks, which needs no clock: channel n is
     sum_m z_n^m Phi_m with z_n = exp(-i n omega T), as long as every
-    initial row is the same (bitwise) packet.  With q = omega T / 2 pi and
-    p the smallest p >= 1 for which q p is an integer (to a few ulp),
-    z_n^p = 1, so row m + p folds onto row m.  After k kicks min(k + 1, p)
-    rows are live.  The ticks are taken when their row-flights are fewer
-    than the channel path's, 2j+1 a flight.
+    initial row is the same (bitwise) packet.  After k kicks k + 1 rows are
+    live.  The ticks are taken when their row-flights are fewer than the
+    channel path's, 2j+1 a flight.
     """
     if period is None:
         return None
-    kicks = sum(1 for _, phase in segments if phase)
-    q = clock.omega * period / (2.0 * math.pi)
-    p = next((p for p in range(1, kicks + 1)
-              if abs(q * p - round(q * p)) <= 4 * math.ulp(q * p)), kicks + 1)
     live, tick_flights, flights = 1, 0, 0
     for flight, phase in segments:
         if flight:
             tick_flights, flights = tick_flights + live, flights + 1
         if phase:
-            live = min(live + 1, p)
+            live += 1
     if tick_flights >= clock.n_modes * flights:
         return None
     bits = np.ascontiguousarray(amplitudes).view(np.uint64)
     if not (bits == bits[0]).all():
         return None
-    return min(p, kicks + 1)
+    return live
 
 
 def _run_ticks(
@@ -293,15 +287,15 @@ def _run_ticks(
     clock_phases: np.ndarray,
     segments: list[tuple[float, float]],
     workers: int | None,
-) -> tuple[int, list[DiagnosticSample]]:
-    """The tick path of `evolve_kicked`; evolves `stack` in place and returns
-    the number of live rows and the diagnostics.
+) -> list[DiagnosticSample]:
+    """The tick path of `evolve_kicked`; evolves `stack` in place, one row
+    per reading, and returns the diagnostics.
 
     `stack` holds row 0 of a product state in its row 0 and zeros elsewhere,
     and `clock_phases[n, m]` is z_n^m.  A flight propagates the live rows,
-    split into blocks by the channel path's rule; a kick moves the region
-    part of row m to row m + 1 (cyclically once the stack is full) on the
-    calling thread.  Guards run after every segment but the first, on the
+    split into blocks by the channel path's rule; a kick makes one more row
+    live and moves the region part of row m to row m + 1 on the calling
+    thread.  Guards run after every segment but the first, on the
     exact masses of the channel state: over columns S,
     dx sum_{m,m'} H[m - m'] G[m, m'] with G = Phi_S Phi_S^H and
     H_d = sum_n z_n^d.  The norm is the stack's, (2j+1) dx sum_m |Phi_m|^2,
@@ -341,13 +335,12 @@ def _run_ticks(
                     future.result()
                 t += flight
             if phase:
-                top = stack[live - 1, region].copy() if live == rows else 0.0
-                live = min(live + 1, rows)
+                live += 1
                 stack[1:live, region] = stack[:live - 1, region]
-                stack[0, region] = top
+                stack[0, region] = 0
             if i:
                 diagnostics.append(sample(t))
-    return live, diagnostics
+    return diagnostics
 
 
 def _evolve(
@@ -371,8 +364,8 @@ def _evolve(
         stack[0] = state.amplitudes[0]
         clock_phases = np.exp(-1j * config.clock.omega * period
                               * np.outer(config.clock.modes, np.arange(rows)))
-        live, diagnostics = _run_ticks(config, stack, clock_phases, segments, workers)
-        amps = clock_phases[:, :live] @ stack[:live]
+        diagnostics = _run_ticks(config, stack, clock_phases, segments, workers)
+        amps = clock_phases @ stack
     return Trajectory(ChannelState(state.clock, state.grid, amps), diagnostics)
 
 

@@ -491,6 +491,30 @@ class TestMain:
         assert "error: boundary occupancy" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_blocked_by_a_file_exits_two(self, tmp_path, capsys, monkeypatch,
+                                             command, under):
+        runs = [str(cmd_run(_small_config(), tmp_path / name)) for name in ("a", "b")]
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n", encoding="utf-8")
+        out = blocker / "sub" if under else blocker
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated into a blocked run directory")
+
+        monkeypatch.setattr("tofclock.cli.run_experiment", no_run)
+        argv = (["run", "--preset", "fig1-kicked-T5"] if command == "run"
+                else ["compare", *runs])
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
     def test_one_parser_per_process_keeps_calls_apart(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(emit_config(_small_config()), encoding="utf-8")

@@ -218,19 +218,19 @@ def _small_config(mode, **overrides):
 @st.composite
 def _random_runs(draw):
     """A small continuous or kicked config.  Kicked periods either make
-    omega T / 2 pi a fraction a / b with b < 2j+1, so the engine merges rows
-    of the product initial state, or leave omega free, so it merges none."""
+    omega T / 2 pi a fraction a / b with b < 2j+1, so channels b apart share
+    every kick phase, or leave omega free."""
     j = draw(st.integers(1, 6))
     t_final = draw(st.floats(1.0, 4.0))
     omega = draw(st.floats(0.2, 3.0))
     kind, kick_at_zero = draw(st.sampled_from([
-        ("continuous", False), ("merged", False), ("merged", True),
-        ("unmerged", False), ("unmerged", True)]))
+        ("continuous", False), ("commensurate", False), ("commensurate", True),
+        ("free", False), ("free", True)]))
     if kind == "continuous":
         extra = dict(mode="continuous", dt=t_final / draw(st.integers(5, 40)))
     else:
         T = draw(st.floats(0.2, t_final))
-        if kind == "merged":
+        if kind == "commensurate":
             a, b = draw(st.integers(1, 3)), draw(st.integers(1, 2 * j))
             omega = 2.0 * math.pi * a / (b * T)
         extra = dict(mode="kicked", kick_period=T, kick_at_zero=kick_at_zero)
@@ -302,7 +302,7 @@ class TestThetaGridOracle:
     @given(_random_runs())
     def test_random_configs_match_engines(self, cfg):
         # the same marginal from the (x, theta) grid, and every channel's
-        # norm kept, whichever rows the engine merges
+        # norm kept, on whichever path the engine takes
         engine = evolve_continuous if cfg.mode == "continuous" else evolve_kicked
         final = engine(cfg).final_state
         _, density = theta_distribution(final, 64)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import tofclock as tc
 from tofclock import analysis, oracles, propagators
-from tofclock.core import modular_phase
 from tofclock.presets import get_preset
 from tofclock.propagators import (
     BoundaryLeakError,
@@ -48,9 +47,19 @@ def _free_state(clock=None, grid=None, spec=None):
     return tc.product_state(psi, clock, grid), spec, grid
 
 
-def _class_period(omega, a, b):
+def _commensurate_period(omega, a, b):
     """Kick period with omega T / 2 pi = a / b."""
     return 2.0 * math.pi * a / (b * omega)
+
+
+def _row_flights(cfg):
+    """Rows the kicked run of `cfg` propagates, summed over its flights;
+    the flights themselves are skipped."""
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagators, "_fly", lambda block, propagator: rows.append(len(block)))
+        evolve_kicked(cfg, workers=1)
+    return sum(rows)
 
 
 class _Taken(Exception):
@@ -316,7 +325,7 @@ class TestScheduleLoop:
     @pytest.mark.parametrize("engine, overrides", [
         (evolve_continuous, {}),
         (evolve_kicked, dict(mode="kicked", kick_period=0.7, kick_at_zero=True)),
-        (evolve_kicked, dict(mode="kicked", kick_period=_class_period(0.8, 1, 9))),
+        (evolve_kicked, dict(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9))),
     ])
     def test_initial_state_not_mutated(self, engine, overrides):
         state, _, _ = _free_state()
@@ -444,7 +453,7 @@ class TestScheduleLoop:
     @pytest.mark.parametrize("engine, overrides", [
         (evolve_continuous, {}),
         (evolve_kicked, dict(mode="kicked", kick_period=0.7)),
-        (evolve_kicked, dict(mode="kicked", kick_period=_class_period(0.8, 1, 9))),
+        (evolve_kicked, dict(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9))),
     ])
     def test_nan_amplitude_fails_norm_guard(self, engine, overrides):
         state, _, _ = _free_state()
@@ -499,27 +508,26 @@ class TestScheduleLoop:
                                    rtol=0, atol=1e-14)
 
 
-def _expected_path(cfg, p, product):
+def _expected_path(cfg, product):
     """The path `_tick_rows` should pick: the tick stack when the state is a
-    product and its row-flights, min(live rows, p) a flight, are fewer than
-    2j+1 a flight; `p` is the fold period (None for none)."""
+    product and its row-flights, one per live row, are fewer than 2j+1 a
+    flight."""
     sched = cfg.kick_schedule
     kicks = sched.n_kicks + cfg.kick_at_zero
     flights = sched.n_kicks + (cfg.t_final - sched.n_kicks * sched.period
                                > 1e-12 * cfg.t_final)
-    p = p or kicks + 1
-    tick_flights = sum(min(1 + cfg.kick_at_zero + i, p) for i in range(flights))
+    tick_flights = sum(1 + cfg.kick_at_zero + i for i in range(flights))
     if product and tick_flights < cfg.clock.n_modes * flights:
-        return ("ticks", min(p, kicks + 1))
+        return ("ticks", kicks + 1)
     return ("channels", cfg.clock.n_modes)
 
 
 @st.composite
 def _random_kicked_runs(draw):
     """A small kicked config with omega T / 2 pi either a fraction a / b,
-    b < 2j+1 (the tick stack folds at p = b / gcd(a, b)), or a random float,
-    and an initial state that is a product or whose rows repeat a few
-    weights; also the path and stack size `_tick_rows` should pick."""
+    b < 2j+1, or a random float, and an initial state that is a product or
+    whose rows repeat a few weights; also the path and stack size
+    `_tick_rows` should pick."""
     j = draw(st.integers(1, 6))
     n_modes = 2 * j + 1
     T = draw(st.floats(0.3, 1.2))
@@ -530,76 +538,57 @@ def _random_kicked_runs(draw):
                                 min_size=n_modes, max_size=n_modes))
     if draw(st.booleans()):
         a, b = draw(st.integers(1, 3)), draw(st.integers(1, n_modes - 1))
-        omega, p = 2.0 * math.pi * a / (b * T), b // math.gcd(a, b)
+        omega = 2.0 * math.pi * a / (b * T)
     else:
-        omega, p = draw(st.floats(0.2, 3.0)), None
+        omega = draw(st.floats(0.2, 3.0))
     grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
     cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
                   kick_period=T, kick_at_zero=draw(st.booleans()))
     weights = np.array(weights) / math.sqrt(np.sum(np.square(weights)))
     psi = tc.init_gaussian(cfg.packet, grid)
     state = tc.ChannelState(cfg.clock, grid, np.outer(weights, psi))
-    return cfg, state, _expected_path(cfg, p, len(set(weights)) == 1)
+    return cfg, state, _expected_path(cfg, len(set(weights)) == 1)
 
 
 @st.composite
 def _random_tick_runs(draw):
-    """A small kicked product-state config that takes the tick path: either
-    omega T / 2 pi = a / b with 3 to 30 kicks and a stack that folds at
-    p = b / gcd(a, b) <= kicks / 2, or a random float with at most 2j+1
-    flights and no fold."""
-    if draw(st.booleans()):
-        j = draw(st.integers(1, 6))
-        T = draw(st.floats(0.1, 0.5))
+    """A small kicked product-state config with at most 2j+1 flights, so it
+    takes the tick path, and whether its period is commensurate: either
+    omega T / 2 pi = a / b with b below the kick count, so the kicks run past
+    one clock period and channels b apart share every kick phase, or a
+    random float."""
+    j = draw(st.integers(3, 6))
+    T = draw(st.floats(3.0 / (2 * j + 1), 1.2))
+    commensurate = draw(st.booleans())
+    if commensurate:
         kicks = math.floor(3.0 / T + 1e-12)
-        a, b = draw(st.integers(1, 3)), draw(st.integers(1, min(2 * j, kicks // 2)))
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, kicks - 1))
         omega = 2.0 * math.pi * a / (b * T)
     else:
-        j = draw(st.integers(3, 6))
-        T = draw(st.floats(3.0 / (2 * j + 1), 1.2))
         omega = draw(st.floats(0.2, 3.0))
     grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
-    return _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
-                   kick_period=T, kick_at_zero=draw(st.booleans()))
+    cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
+                  kick_period=T, kick_at_zero=draw(st.booleans()))
+    return cfg, commensurate
 
 
 class TestKickClasses:
     """Which rows a kicked run propagates: the tick stack of a product
     state when it is cheaper, one row per channel otherwise."""
 
-    # the most rows a flight propagates; T0.1 takes the channel path, since
-    # 31375 tick row-flights are not fewer than 101 x 250
+    # the rows a run ends with, one per kick count on the tick path, and its
+    # row-flights; T0.1 takes the channel path, since 31375 tick row-flights
+    # are not fewer than 101 x 250
+    ROW_FLIGHTS = {0.1: 25250, 0.2: 7875, 0.5: 1275, 1.0: 325, 2.0: 91, 5.0: 15}
+
     @pytest.mark.parametrize("T, expected", [
-        (0.1, 101), (0.2, 125), (0.5, 50), (1.0, 25), (2.0, 13), (5.0, 5),
+        (0.1, 101), (0.2, 126), (0.5, 51), (1.0, 26), (2.0, 13), (5.0, 6),
     ])
     def test_fig1_class_counts(self, T, expected):
+        cfg = get_preset(f"fig1-kicked-T{T:g}")
         path = "channels" if T == 0.1 else "ticks"
-        assert _path(get_preset(f"fig1-kicked-T{T:g}")) == (path, expected)
-
-    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 5.0])
-    def test_members_share_modular_phase(self, T):
-        # over two clock periods every stack folds, at p rows: channels p
-        # apart share every kick phase (z_n^p = 1), and no fewer rows would do
-        cfg = dataclasses.replace(get_preset(f"fig1-kicked-T{T:g}"), t_final=50.0)
-        _, p = _path(cfg)
-        assert p <= cfg.kick_schedule.n_kicks
-        nu = np.array([modular_phase(int(n), cfg.clock, T)[0] for n in cfg.clock.modes])
-
-        def spread(rows):  # largest phase gap, in turns, of channels `rows` apart
-            turns = (nu[rows:] - nu[:-rows]) / (2.0 * math.pi)
-            return np.abs(turns - np.round(turns)).max()
-
-        assert spread(p) < 1e-12
-        assert all(spread(rows) > 1e-3 for rows in range(1, p))
-
-    def test_near_coincident_phases_not_merged(self):
-        # omega T / 2 pi = 1/9 folds 13 kicks into 9 rows; 1/9 (1 + 1e-9)
-        # differs by 1e-9 of a turn a kick and does not fold
-        T = _class_period(0.8, 1, 9)
-        cfg = _config(mode="kicked", kick_period=T, t_final=12.0)
-        assert cfg.kick_schedule.n_kicks == 13
-        assert _path(cfg) == ("ticks", 9)
-        assert _path(dataclasses.replace(cfg, kick_period=T * (1 + 1e-9))) == ("ticks", 14)
+        assert _path(cfg) == (path, expected)
+        assert _row_flights(cfg) == self.ROW_FLIGHTS[T]
 
     def test_no_period_gives_identity_classes(self, monkeypatch):
         # the continuous engine propagates one row per channel
@@ -611,9 +600,9 @@ class TestKickClasses:
 
     @pytest.mark.parametrize("product", [True, False])
     def test_merges_only_equal_rows(self, product):
-        # omega T / 2 pi = 1/9; a state with unequal rows takes the channel
-        # path and is bitwise the operator composition
-        cfg = _config(mode="kicked", kick_period=_class_period(0.8, 1, 9),
+        # omega T / 2 pi = 1/9; only a product state takes the tick path, and
+        # a state with unequal rows is bitwise the operator composition
+        cfg = _config(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9),
                       kick_at_zero=True)
         state, _, _ = _free_state()
         if not product:
@@ -640,9 +629,19 @@ class TestKickClasses:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_random_tick_runs())
-    def test_random_configs_diagnostics_match_channel_path(self, cfg):
+    def test_random_configs_diagnostics_match_channel_path(self, run):
+        # a commensurate run kicks past one clock period, where readings a
+        # whole period apart coincide; the clock marginal is the theta-grid
+        # oracle's all the same
+        cfg, commensurate = run
         assert _path(cfg)[0] == "ticks"
+        if commensurate:
+            assert cfg.kick_schedule.n_kicks * cfg.kick_period > cfg.clock.period
         ticks = evolve_kicked(cfg)
+        _, density = analysis.theta_distribution(ticks.final_state, 64)
+        np.testing.assert_allclose(density[:-1],
+                                   oracles.evolve_theta_grid(cfg, 64).theta_marginal(),
+                                   rtol=0, atol=1e-10)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagators, "_tick_rows", lambda *args: None)
             channels = evolve_kicked(cfg)
@@ -656,13 +655,13 @@ class TestKickClasses:
                                    channels.final_state.amplitudes, rtol=0, atol=1e-12)
 
     def test_workers_do_not_change_result(self, monkeypatch):
-        # 13 kicks fold into 9 rows of 2^14 points: from 4 live rows on, a
-        # flight splits into two blocks, and from 8 on into four
+        # 13 kicks grow the stack to 14 rows of 2^14 points: from 4 live rows
+        # on, a flight splits into two blocks, and from 8 on into four
         monkeypatch.setattr(propagators, "ThreadPoolExecutor", _SpyExecutor)
         monkeypatch.setattr(_SpyExecutor, "sizes", [])
         cfg = _config(grid=tc.SpatialGrid(-40.0, 40.0, 2**14), mode="kicked",
-                      kick_period=_class_period(0.8, 1, 9), t_final=12.0)
-        assert _path(cfg) == ("ticks", 9)
+                      kick_period=_commensurate_period(0.8, 1, 9), t_final=12.0)
+        assert _path(cfg) == ("ticks", 14)
         runs = [run_experiment(cfg, workers=w) for w in (1, 2, 4)]
         assert [size + 1 for size in _SpyExecutor.sizes] == [2, 4]
         for run in runs[1:]:
@@ -675,7 +674,7 @@ class TestKickClasses:
         # to the same digits as the channel path did
         cfg = dataclasses.replace(get_preset("fig1-kicked-T0.2"),
                                   grid=tc.SpatialGrid(-250.0, 150.0, 2**12))
-        assert _path(cfg) == ("ticks", 125)
+        assert _path(cfg) == ("ticks", 126)
         with pytest.raises(BoundaryLeakError) as info:
             run_experiment(cfg)
         assert str(info.value) == "boundary occupancy 2.053e-02 at t=20"
@@ -688,7 +687,7 @@ class TestKickClasses:
         # a 1-ulp change to one row of the product state sends it down the
         # channel path
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
-        cfg = _config(grid=grid, mode="kicked", kick_period=_class_period(0.8, 1, 9),
+        cfg = _config(grid=grid, mode="kicked", kick_period=_commensurate_period(0.8, 1, 9),
                       **overrides)
         product, _, _ = _free_state(grid=grid)
         product.amplitudes *= scale
