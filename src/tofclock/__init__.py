@@ -26,7 +26,6 @@ from .analysis import (
     DistributionSeries,
     distribution_distance,
     mean_reading,
-    overlap_matrix,
     state_tof_distribution,
     theta_distribution,
     transmission_report,

@@ -17,20 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .core import ChannelState, ClockSpec, RegionSpec, row_sums
+from .core import ChannelState, ClockSpec, RegionSpec
 
 NEGATIVE_DENSITY_TOL = 1e-12
 THETA_POINTS = 1024  # fewest intervals of the default reading grid
-
-
-def overlap_matrix(state: ChannelState) -> np.ndarray:
-    """Hermitian channel overlap matrix O[n, n'] = integral psi_n psi_n'* dx.
-
-    This is the reduced clock density matrix in the mode basis: diagonal
-    entries are the per-channel norms, the trace is the total norm.
-    """
-    a = state.amplitudes
-    return (a @ a.conj().T) * state.grid.dx
 
 
 def theta_grid(clock: ClockSpec, theta_points: int | None = None) -> np.ndarray:
@@ -57,14 +47,14 @@ def theta_distribution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angular density of the clock, sampled on `theta_grid`.
 
-    P(theta) = sum_{nn'} exp(i(n-n')theta) O[n,n'] / (2*pi); integrates to
-    the state norm.  Its Fourier coefficients are the diagonal sums
-    c_d = sum_{n-n'=d} O[n,n'], d = 0..2j (c_-d = conj(c_d)), so one inverse
-    real FFT samples it; exact because theta_grid demands M >= 2N > 4j.
+    P(theta) = sum_{nn'} exp(i(n-n')theta) O[n,n'] / (2*pi), O the state's
+    `overlaps`; integrates to the state norm.  Its Fourier coefficients are
+    the diagonal sums c_d = sum_{n-n'=d} O[n,n'], d = 0..2j (c_-d = conj(c_d)),
+    so one inverse real FFT samples it; exact as theta_grid demands M >= 2N > 4j.
     """
     theta = theta_grid(state.clock, theta_points)
     m = theta.size - 1
-    overlaps = overlap_matrix(state)
+    overlaps = state.overlaps()[0]
     coeffs = [np.trace(overlaps, -d) for d in range(state.clock.n_modes)]
     density = np.empty(theta.size)
     density[:-1] = np.fft.irfft(coeffs, m) * (m / (2.0 * math.pi))
@@ -221,7 +211,5 @@ def transmission_report(
     state: ChannelState, region: RegionSpec
 ) -> TransmissionReport:
     inner = state.grid.region_slice(region)
-    left, inside, right = state.grid.dx * row_sums(
-        state.amplitudes, slice(None, inner.start), inner, slice(inner.stop, None)
-    )
-    return TransmissionReport(left=left, inside=inside, right=right)
+    return TransmissionReport(*state.overlaps(
+        slice(None, inner.start), inner, slice(inner.stop, None), diagonal=True))

@@ -196,42 +196,63 @@ def row_sums(amps: np.ndarray, *columns: slice) -> np.ndarray:
 
 @dataclass
 class ChannelState:
-    """Joint particle-clock state as one spatial amplitude per clock mode.
-
-    The represented state is sum_n psi_n(x) u_n(theta) with
-    u_n(theta) = exp(i*n*theta)/sqrt(2*pi); amplitudes has shape
-    (2j+1, num_points), row i holding channel n = i - j.
-    """
+    """Joint particle-clock state sum_n psi_n(x) exp(i*n*theta)/sqrt(2*pi),
+    channel n = i - j held as psi_n = sum_m weights[i, m] rows[m], or as
+    rows[i] when weights is None.  `product_state` gives one row with equal
+    weights, the tick path one row per reading m with weights z_n^m."""
 
     clock: ClockSpec
     grid: SpatialGrid
-    amplitudes: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        expected = (self.clock.n_modes, self.grid.num_points)
-        if self.amplitudes.shape != expected:
-            raise ValueError(
-                f"amplitudes shape {self.amplitudes.shape} != {expected}"
-            )
+        n, w = self.clock.n_modes, self.weights
+        rows = n if w is None else len(self.rows)
+        shapes = (self.rows.shape, None if w is None else w.shape)
+        expected = ((rows, self.grid.num_points), None if w is None else (n, rows))
+        if shapes != expected:
+            raise ValueError(f"rows and weights shapes {shapes} != {expected}")
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The channels: the rows, or their expansion, read-only as a write would be lost."""
+        if self.weights is None:
+            return self.rows
+        amps = self.weights @ self.rows
+        amps.flags.writeable = False
+        return amps
+
+    def overlaps(self, *columns: slice, diagonal: bool = False) -> np.ndarray:
+        """Channel overlaps O_c[n, n'] = dx sum_{x in c} psi_n(x) psi_n'(x)*
+        over each column slice c (all columns by default), stacked: over all,
+        the reduced clock density matrix.  From the factors dx W G_c W^H, with
+        G_c the rows' Gram; `diagonal` gives the masses O_c[n, n] alone."""
+        columns = columns or (slice(None),)
+        w, dx = self.weights, self.grid.dx
+        if w is None and diagonal:
+            return row_sums(self.rows, *columns) * dx
+        grams = [r @ r.conj().T for r in (self.rows[:, c] for c in columns)]
+        if w is None:
+            return np.array(grams) * dx
+        if diagonal:
+            return np.array([((w @ g) * w.conj()).sum(axis=1).real for g in grams]) * dx
+        return np.array([w @ g @ w.conj().T for g in grams]) * dx
 
     def channel_norms(self) -> np.ndarray:
-        return row_sums(self.amplitudes, slice(None))[0] * self.grid.dx
+        return self.overlaps(diagonal=True)[0]
 
     def norm(self) -> float:
-        return float(row_sums(self.amplitudes, slice(None)).sum()) * self.grid.dx
+        return float(self.channel_norms().sum())
 
     def region_mass(self, region: RegionSpec) -> float:
-        inside = row_sums(self.amplitudes, self.grid.region_slice(region))
-        return float(inside.sum()) * self.grid.dx
+        return float(self.overlaps(self.grid.region_slice(region), diagonal=True).sum())
 
     def boundary_mass(self) -> float:
         """Mass in the `SpatialGrid.edge_points` at each edge of the grid."""
         n_edge = self.grid.edge_points
-        edges = row_sums(self.amplitudes, slice(None, n_edge), slice(-n_edge, None))
-        return float(edges.sum()) * self.grid.dx
-
-    def copy(self) -> "ChannelState":
-        return ChannelState(self.clock, self.grid, self.amplitudes.copy())
+        edges = self.overlaps(slice(None, n_edge), slice(-n_edge, None), diagonal=True)
+        return float(edges.sum())
 
 
 def init_gaussian(
@@ -269,8 +290,8 @@ def product_state(
     peaked at theta = 0.
     """
     n = clock.n_modes
-    weights = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    return ChannelState(clock, grid, np.outer(weights, psi))
+    weights = np.full((n, 1), 1.0 / math.sqrt(n), dtype=complex)
+    return ChannelState(clock, grid, np.array(psi, dtype=complex, ndmin=2), weights)
 
 
 def classical_tof(d: float, p: float, m: float) -> float:

@@ -2,8 +2,8 @@
 
 The coupling commutes with the clock angular momentum, so the joint state
 splits into independent channels: channel n sees a rectangular barrier
-(well) of height n*hbar*omega on the coupling region.  Every engine here
-acts channel-by-channel on the (N, num_points) amplitude array.
+(well) of height n*hbar*omega on the coupling region.  The channel loop
+propagates one row per channel, the tick loop a product state's packet rows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import scipy.fft as sfft
 from . import analysis, oracles
 from .core import (
     ChannelState,
-    ClockSpec,
     ExperimentConfig,
     RegionSpec,
     SpatialGrid,
@@ -250,22 +249,21 @@ def _fly(rows: np.ndarray, propagator: np.ndarray) -> None:
 
 
 def _tick_rows(
-    clock: ClockSpec,
     period: float | None,
     segments: list[tuple[float, float]],
-    amplitudes: np.ndarray,
+    state: ChannelState,
 ) -> int | None:
     """Rows of the tick stack for a run kicked with `period`, or None when
     the run takes the channel path.
 
-    Row m of the stack holds the packet amplitude that was inside the region
-    at exactly m kicks, which needs no clock: channel n is
-    sum_m z_n^m Phi_m with z_n = exp(-i n omega T), as long as every
-    initial row is the same (bitwise) packet.  After k kicks k + 1 rows are
-    live.  The ticks are taken when their row-flights are fewer than the
-    channel path's, 2j+1 a flight.
+    Channel n is sum_m z_n^m Phi_m, Phi_m the packet inside for exactly m
+    kicks, when every channel starts as the same packet: one row with equal
+    weights, as `product_state` builds.  The ticks are taken when their
+    row-flights, k + 1 a flight after k kicks, are fewer than the channel
+    path's, 2j+1 a flight.
     """
-    if period is None:
+    w = state.weights
+    if period is None or w is None or w.shape[1] != 1 or not (w == w[0, 0]).all():
         return None
     live, tick_flights, flights = 1, 0, 0
     for flight, phase in segments:
@@ -273,37 +271,37 @@ def _tick_rows(
             tick_flights, flights = tick_flights + live, flights + 1
         if phase:
             live += 1
-    if tick_flights >= clock.n_modes * flights:
-        return None
-    bits = np.ascontiguousarray(amplitudes).view(np.uint64)
-    if not (bits == bits[0]).all():
+    if tick_flights >= state.clock.n_modes * flights:
         return None
     return live
 
 
 def _run_ticks(
     config: ExperimentConfig,
-    stack: np.ndarray,
-    clock_phases: np.ndarray,
+    state: ChannelState,
+    rows: int,
     segments: list[tuple[float, float]],
     workers: int | None,
-) -> list[DiagnosticSample]:
-    """The tick path of `evolve_kicked`; evolves `stack` in place, one row
-    per reading, and returns the diagnostics.
+) -> Trajectory:
+    """The tick path of `evolve_kicked` from the product `state`: a stack of
+    `rows` rows, one per reading, that ends as the final state with weights
+    `clock_phases[n, m]` = z_n^m, z_n = exp(-i n omega kick_period).
 
-    `stack` holds row 0 of a product state in its row 0 and zeros elsewhere,
-    and `clock_phases[n, m]` is z_n^m.  A flight propagates the live rows,
-    split into blocks by the channel path's rule; a kick makes one more row
-    live and moves the region part of row m to row m + 1 on the calling
-    thread.  Guards run after every segment but the first, on the
-    exact masses of the channel state: over columns S,
-    dx sum_{m,m'} H[m - m'] G[m, m'] with G = Phi_S Phi_S^H and
+    Row 0 starts as the packet every channel starts as, the others as zeros.
+    A flight propagates the live rows, split into blocks by the channel
+    path's rule; a kick makes one more row live and moves the region part
+    of row m to row m + 1 on the calling thread.  Guards run after every
+    segment but the first, on the exact masses of the channel state: over
+    columns S, dx sum_{m,m'} H[m - m'] G[m, m'] with G = Phi_S Phi_S^H and
     H_d = sum_n z_n^d.  The norm is the stack's, (2j+1) dx sum_m |Phi_m|^2,
     which equals the channels' in exact arithmetic.
     """
-    grid = config.grid
+    grid, clock, n_modes = config.grid, config.clock, config.clock.n_modes
     region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
-    n_modes, rows = clock_phases.shape
+    stack = np.zeros((rows, grid.num_points), dtype=complex)
+    stack[0] = state.weights[0, 0] * state.rows[0]
+    clock_phases = np.exp(-1j * clock.omega * config.kick_period
+                          * np.outer(clock.modes, np.arange(rows)))
     # H_d is real and even (the modes are -j..j), so only Re G counts, and
     # Re G = X X^T with X the real and imaginary parts of Phi_S side by side
     toeplitz = (clock_phases.conj().T @ clock_phases).real
@@ -340,7 +338,7 @@ def _run_ticks(
                 stack[0, region] = 0
             if i:
                 diagnostics.append(sample(t))
-    return diagnostics
+    return Trajectory(ChannelState(clock, grid, stack, clock_phases), diagnostics)
 
 
 def _evolve(
@@ -355,17 +353,11 @@ def _evolve(
     phase being `period`, and a guard check after every segment, as
     `evolve_kicked` asks), and on one row per channel otherwise."""
     state = initial_state if initial_state is not None else _initial_state(config)
-    rows = _tick_rows(config.clock, period, segments, state.amplitudes)
-    if rows is None:
-        amps = state.amplitudes.copy()
-        diagnostics = _run_schedule(config, amps, segments, check_every, workers)
-    else:
-        stack = np.zeros((rows, config.grid.num_points), dtype=complex)
-        stack[0] = state.amplitudes[0]
-        clock_phases = np.exp(-1j * config.clock.omega * period
-                              * np.outer(config.clock.modes, np.arange(rows)))
-        diagnostics = _run_ticks(config, stack, clock_phases, segments, workers)
-        amps = clock_phases @ stack
+    rows = _tick_rows(period, segments, state)
+    if rows is not None:
+        return _run_ticks(config, state, rows, segments, workers)
+    amps = state.amplitudes.copy()
+    diagnostics = _run_schedule(config, amps, segments, check_every, workers)
     return Trajectory(ChannelState(state.clock, state.grid, amps), diagnostics)
 
 
@@ -401,7 +393,7 @@ def evolve_kicked(
 
     No splitting error: the inter-kick Hamiltonian is purely kinetic.  A
     product state runs in the tick basis when `_tick_rows` finds it cheaper,
-    and the clock is applied once at the end.
+    and its final state keeps the clock phases as weights.
     """
     schedule = config.kick_schedule
     if schedule is None:

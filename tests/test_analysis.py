@@ -11,7 +11,6 @@ from tofclock.analysis import (
     distribution_distance,
     hand_density,
     mean_reading,
-    overlap_matrix,
     theta_distribution,
     theta_grid,
     transmission_report,
@@ -38,16 +37,35 @@ def _rotated_state(duration):
 
 class TestOverlapMatrix:
     def test_product_state(self):
-        O = overlap_matrix(_state())
+        O = _state().overlaps()[0]
         n = CLOCK.n_modes
         np.testing.assert_allclose(O, np.full((n, n), 1.0 / n), atol=1e-12)
 
     def test_hermitian_with_norms_on_diagonal(self):
         state = kinetic_step(_state(), 1.3)
-        O = overlap_matrix(state)
+        O = state.overlaps()[0]
         np.testing.assert_allclose(O, O.conj().T, atol=1e-14)
         np.testing.assert_allclose(np.diag(O).real, state.channel_norms(), atol=1e-13)
         assert np.trace(O).real == pytest.approx(state.norm(), abs=1e-12)
+
+    def test_factors_match_expanded_channels(self):
+        # three random rows with random complex weights, against the same
+        # channels held one row each, over the whole grid and over slices
+        rng = np.random.default_rng(3)
+        n = CLOCK.n_modes
+        rows = rng.normal(size=(3, GRID.num_points)) + 1j * rng.normal(size=(3, GRID.num_points))
+        weights = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        factored = tc.ChannelState(CLOCK, GRID, rows, weights)
+        expanded = tc.ChannelState(CLOCK, GRID, weights @ rows)
+        columns = (slice(None), slice(None, 100), slice(100, 300), slice(300, None))
+        a, b = factored.overlaps(*columns), expanded.overlaps(*columns)
+        assert a.shape == (4, n, n)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+        masses = factored.overlaps(*columns, diagonal=True)
+        np.testing.assert_allclose(masses, expanded.overlaps(*columns, diagonal=True),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(masses, np.diagonal(b, axis1=1, axis2=2).real,
+                                   rtol=1e-13, atol=0)
 
 
 class TestThetaDistribution:
@@ -118,7 +136,7 @@ class TestThetaDistribution:
         state = tc.ChannelState(clock, grid, amps)
         theta, density = theta_distribution(state, m)
 
-        O = overlap_matrix(state)
+        O = state.overlaps()[0]
         expected = np.zeros(m + 1)
         for k, t in enumerate(theta):
             expected[k] = sum(
@@ -203,8 +221,8 @@ class TestMeanReading:
         clock = tc.ClockSpec(2.0 * math.pi / 25.0, j)
         duration = fraction * clock.period
         psi = tc.init_gaussian(SPEC, GRID)
-        amps = tc.product_state(psi, clock, GRID).amplitudes
-        amps *= np.exp(-1j * clock.modes * clock.omega * duration)[:, None]
+        amps = (tc.product_state(psi, clock, GRID).amplitudes
+                * np.exp(-1j * clock.modes * clock.omega * duration)[:, None])
         series = analysis.state_tof_distribution(tc.ChannelState(clock, GRID, amps), 256)
         expected = duration if fraction < 0.875 else duration - clock.period
         assert mean_reading(series) == pytest.approx(expected, abs=1e-9)

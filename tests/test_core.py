@@ -173,6 +173,26 @@ class TestInitialState:
         assert state.amplitudes.shape == (9, 2**10)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(state.channel_norms(), 1.0 / 9.0, atol=1e-13)
+        assert state.rows.shape == (1, 2**10)
+
+    def test_expansion_is_read_only(self):
+        # a write to the expanded channels of a factored state would be lost
+        psi = tc.init_gaussian(self.SPEC, self.GRID)
+        state = tc.product_state(psi, tc.ClockSpec(1.0, 4), self.GRID)
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[3, 100] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes *= 2.0
+        assert np.isfinite(state.amplitudes).all()
+
+    def test_factor_shapes_checked(self):
+        clock, psi = tc.ClockSpec(1.0, 4), tc.init_gaussian(self.SPEC, self.GRID)
+        with pytest.raises(ValueError, match="shapes"):
+            tc.ChannelState(clock, self.GRID, np.outer(np.ones(8), psi))
+        with pytest.raises(ValueError, match="shapes"):
+            tc.ChannelState(clock, self.GRID, psi[None], np.ones((8, 1)))
+        with pytest.raises(ValueError, match="shapes"):
+            tc.ChannelState(clock, self.GRID, psi[None], np.ones((9, 2)))
 
 
 class TestKinematics:

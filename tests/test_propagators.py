@@ -69,8 +69,8 @@ class _Taken(Exception):
 def _path(cfg, state=None):
     """("ticks", stack rows) or ("channels", rows) that evolve_kicked picks
     for `cfg` and `state`, found without propagating anything."""
-    def ticks(config, stack, clock_phases, segments, workers):
-        raise _Taken("ticks", stack.shape[0])
+    def ticks(config, state, rows, segments, workers):
+        raise _Taken("ticks", rows)
 
     def channels(config, amps, segments, check_every, workers):
         raise _Taken("channels", amps.shape[0])
@@ -84,10 +84,11 @@ def _path(cfg, state=None):
 
 
 def _weighted(state):
-    """`state` with unequal channel weights (same norm): the channel path."""
+    """`state` with unequal channel weights (same norm), one row per
+    channel: the channel path."""
     weights = np.linspace(0.9, 1.1, state.clock.n_modes)
-    state.amplitudes *= (weights / np.sqrt(np.mean(weights**2)))[:, None]
-    return state
+    amps = state.amplitudes * (weights / np.sqrt(np.mean(weights**2)))[:, None]
+    return tc.ChannelState(state.clock, state.grid, amps)
 
 
 def _kicked_composition(cfg, state):
@@ -440,7 +441,7 @@ class TestScheduleLoop:
     def test_norm_drift_same_for_blocks(self, engine, overrides):
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         state, _, _ = _free_state(grid=grid)
-        state.amplitudes *= 1.001
+        state = tc.ChannelState(state.clock, grid, 1.001 * state.amplitudes)
         cfg = _config(grid=grid, t_final=0.1, **overrides)
         errors = []
         for workers in (1, 2):
@@ -457,14 +458,16 @@ class TestScheduleLoop:
     ])
     def test_nan_amplitude_fails_norm_guard(self, engine, overrides):
         state, _, _ = _free_state()
-        state.amplitudes[3, 100] = np.nan
+        amps = state.amplitudes.copy()
+        amps[3, 100] = np.nan
+        state = tc.ChannelState(state.clock, state.grid, amps)
         with pytest.raises(NormDriftError, match=r"norm drift nan at t=0$"):
             engine(_config(**overrides), initial_state=state)
 
     def test_norm_drift_stops_split_blocks_at_once(self, monkeypatch):
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         state, _, _ = _free_state(grid=grid)
-        state.amplitudes *= 1.001
+        state = tc.ChannelState(state.clock, grid, 1.001 * state.amplitudes)
         cfg = _config(grid=grid, mode="kicked", kick_period=0.03, t_final=3.0)
         flight, flights = propagators._free_flight, []
 
@@ -526,8 +529,8 @@ def _expected_path(cfg, product):
 def _random_kicked_runs(draw):
     """A small kicked config with omega T / 2 pi either a fraction a / b,
     b < 2j+1, or a random float, and an initial state that is a product or
-    whose rows repeat a few weights; also the path and stack size
-    `_tick_rows` should pick."""
+    one row per channel, the rows repeating a few weights; also the path
+    and stack size `_tick_rows` should pick."""
     j = draw(st.integers(1, 6))
     n_modes = 2 * j + 1
     T = draw(st.floats(0.3, 1.2))
@@ -544,10 +547,14 @@ def _random_kicked_runs(draw):
     grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
     cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
                   kick_period=T, kick_at_zero=draw(st.booleans()))
+    product = len(set(weights)) == 1
     weights = np.array(weights) / math.sqrt(np.sum(np.square(weights)))
     psi = tc.init_gaussian(cfg.packet, grid)
-    state = tc.ChannelState(cfg.clock, grid, np.outer(weights, psi))
-    return cfg, state, _expected_path(cfg, len(set(weights)) == 1)
+    if product:
+        state = tc.product_state(psi, cfg.clock, grid)
+    else:
+        state = tc.ChannelState(cfg.clock, grid, np.outer(weights, psi))
+    return cfg, state, _expected_path(cfg, product)
 
 
 @st.composite
@@ -600,18 +607,22 @@ class TestKickClasses:
 
     @pytest.mark.parametrize("product", [True, False])
     def test_merges_only_equal_rows(self, product):
-        # omega T / 2 pi = 1/9; only a product state takes the tick path, and
-        # a state with unequal rows is bitwise the operator composition
+        # omega T / 2 pi = 1/9; only a factored product state takes the tick
+        # path, and a state with one row per channel is bitwise the operator
+        # composition
         cfg = _config(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9),
                       kick_at_zero=True)
         state, _, _ = _free_state()
         if not product:
-            _weighted(state)
+            state = _weighted(state)
         expected = _kicked_composition(cfg, state).amplitudes
         final = evolve_kicked(cfg, initial_state=state).final_state.amplitudes
         if product:
             assert _path(cfg, state) == ("ticks", 7)
             np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
+            # the same channels, built by hand as equal rows, are not factored
+            rows = tc.ChannelState(state.clock, state.grid, state.amplitudes.copy())
+            assert _path(cfg, rows) == ("channels", 17)
         else:
             assert _path(cfg, state) == ("channels", 17)
             np.testing.assert_array_equal(final, expected)
@@ -637,14 +648,16 @@ class TestKickClasses:
         assert _path(cfg)[0] == "ticks"
         if commensurate:
             assert cfg.kick_schedule.n_kicks * cfg.kick_period > cfg.clock.period
-        ticks = evolve_kicked(cfg)
+        ticks = run_experiment(cfg)
+        assert ticks.final_state.weights is not None  # read from the factors
         _, density = analysis.theta_distribution(ticks.final_state, 64)
         np.testing.assert_allclose(density[:-1],
                                    oracles.evolve_theta_grid(cfg, 64).theta_marginal(),
                                    rtol=0, atol=1e-10)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagators, "_tick_rows", lambda *args: None)
-            channels = evolve_kicked(cfg)
+            channels = run_experiment(cfg)
+        assert channels.final_state.weights is None
         assert len(ticks.diagnostics) == len(channels.diagnostics)
         for a, b in zip(ticks.diagnostics, channels.diagnostics):
             assert a.t == b.t
@@ -653,6 +666,15 @@ class TestKickClasses:
             assert a.boundary_mass == pytest.approx(b.boundary_mass, rel=0, abs=1e-13)
         np.testing.assert_allclose(ticks.final_state.amplitudes,
                                    channels.final_state.amplitudes, rtol=0, atol=1e-12)
+        _, channel_density = analysis.theta_distribution(channels.final_state, 64)
+        np.testing.assert_allclose(density, channel_density, rtol=0, atol=1e-13)
+        reports = [analysis.transmission_report(run.final_state, cfg.region)
+                   for run in (ticks, channels)]
+        for part in ("left", "inside", "right"):
+            np.testing.assert_allclose(getattr(reports[0], part), getattr(reports[1], part),
+                                       rtol=0, atol=1e-13)
+        assert ticks.max_channel_drift == pytest.approx(channels.max_channel_drift,
+                                                        rel=0, abs=1e-13)
 
     def test_workers_do_not_change_result(self, monkeypatch):
         # 13 kicks grow the stack to 14 rows of 2^14 points: from 4 live rows
@@ -684,21 +706,18 @@ class TestKickClasses:
         (NormDriftError, dict(t_final=3.0), 1.0 + 1e-6),
     ])
     def test_guards_same_as_unmerged_run(self, error, overrides, scale):
-        # a 1-ulp change to one row of the product state sends it down the
-        # channel path
+        # the product state's channels, built by hand as one row each, take
+        # the channel path
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         cfg = _config(grid=grid, mode="kicked", kick_period=_commensurate_period(0.8, 1, 9),
                       **overrides)
-        product, _, _ = _free_state(grid=grid)
-        product.amplitudes *= scale
-        perturbed = product.copy()
-        bits = perturbed.amplitudes.view(np.float64)
-        peak = np.argmax(np.abs(product.amplitudes[0]))
-        bits[9, 2 * peak] = np.nextafter(bits[9, 2 * peak], np.inf)
+        spec = tc.WavepacketSpec(1.0, -15.0, 5.0)
+        product = tc.product_state(scale * tc.init_gaussian(spec, grid), cfg.clock, grid)
+        unmerged = tc.ChannelState(cfg.clock, grid, product.amplitudes.copy())
         assert _path(cfg, product)[0] == "ticks"
-        assert _path(cfg, perturbed) == ("channels", 17)
+        assert _path(cfg, unmerged) == ("channels", 17)
         messages = []
-        for state in (perturbed, product):
+        for state in (unmerged, product):
             for workers in (1, 2, 4):
                 with pytest.raises(error) as info:
                     evolve_kicked(cfg, initial_state=state, workers=workers)
