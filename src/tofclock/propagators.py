@@ -3,7 +3,9 @@
 The coupling commutes with the clock angular momentum, so the joint state
 splits into independent channels: channel n sees a rectangular barrier
 (well) of height n*hbar*omega on the coupling region.  The channel loop
-propagates one row per channel, the tick loop a product state's packet rows.
+propagates one row per channel, the tick loop a product state's packet rows,
+one per kick count.  A stack that would outgrow the channels hands the state
+to the channel loop at its first flight of as many rows as channels.
 """
 
 from __future__ import annotations
@@ -74,11 +76,13 @@ def kinetic_step(
     m: float = 1.0,
     hbar: float = 1.0,
 ) -> ChannelState:
-    """Exact free flight for duration dt, channel by channel in Fourier space."""
-    amps = state.amplitudes.copy()
+    """Exact free flight for duration dt, row by row in Fourier space.  A
+    flight acts the same way on every channel, so a factored state keeps its
+    weights."""
+    rows = state.rows.copy()
     if dt != 0:
-        amps = _free_flight(amps, _kinetic_propagator(state.grid, dt, m, hbar))
-    return ChannelState(state.clock, state.grid, amps)
+        rows = _free_flight(rows, _kinetic_propagator(state.grid, dt, m, hbar))
+    return ChannelState(state.clock, state.grid, rows, state.weights)
 
 
 def coupling_phase_step(
@@ -185,7 +189,9 @@ def _run_schedule(
     amps: np.ndarray,
     segments: list[tuple[float, float]],
     check_every: int,
-    workers: int | None,
+    workers: int,
+    pool: ThreadPoolExecutor | None,
+    start: int,
 ) -> list[DiagnosticSample]:
     """The channel path of both engines; evolves `amps` in place.
 
@@ -194,18 +200,21 @@ def _run_schedule(
     (none when it is 0) followed by the coupling accrued over `phase` (none
     when it is 0).  The first segment, (0, phase), couples before any
     flight.  Guards run on the initial state, every `check_every` segments
-    after the first and after the last one.
+    after the first and after the last one.  From `start` > 0 on, the
+    segments before it have run, with their guards, on the tick stack:
+    their flights, added in order, give the time to go on from, and the
+    initial state is not checked again.
 
     The channels never mix, so the rows are split into up to `workers`
     contiguous blocks (views of one array); a small state stays in one
     block.  All blocks advance together from one guard check to the next,
-    block 0 on the calling thread and the others on a pool.  Each returns
+    block 0 on the calling thread and the others on `pool`.  Each returns
     its per-row sums, which are reduced in row order, so neither the
     diagnostics nor the amplitudes depend on the number of blocks.
     """
     grid, clock = config.grid, config.clock
     region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
-    k = _block_count(resolve_workers(workers), amps.shape[0], grid.num_points)
+    k = _block_count(workers, amps.shape[0], grid.num_points)
     blocks = np.array_split(amps, k)
     flights = _flight_propagators(config, segments)
     phases = {
@@ -213,8 +222,11 @@ def _run_schedule(
         for phase in {phase for _, phase in segments} if phase
     }
     # the steps between guard checks; the first check is on the initial state
-    intervals, pending = [[]], []
+    t, intervals, pending = 0.0, [] if start else [[]], []
     for i, segment in enumerate(segments):
+        if i < start:
+            t += segment[0]
+            continue
         pending.append(segment)
         if i and (i % check_every == 0 or i == len(segments) - 1):
             intervals.append(pending)
@@ -229,16 +241,15 @@ def _run_schedule(
                 _couple(block, phases[phase][b], region)
         return row_sums(block, slice(None), region, slice(None, n_edge), slice(-n_edge, None))
 
-    t, diagnostics = 0.0, []
-    with _pool(k) as pool:
-        for interval in intervals:
-            futures = [pool.submit(advance, b, interval) for b in range(1, k)]
-            sums = np.concatenate(
-                [advance(0, interval)] + [future.result() for future in futures], axis=1
-            )
-            for flight, _ in interval:
-                t += flight
-            diagnostics.append(_check_guards(config, _sample(t, sums, dx)))
+    diagnostics = []
+    for interval in intervals:
+        futures = [pool.submit(advance, b, interval) for b in range(1, k)]
+        sums = np.concatenate(
+            [advance(0, interval)] + [future.result() for future in futures], axis=1
+        )
+        for flight, _ in interval:
+            t += flight
+        diagnostics.append(_check_guards(config, _sample(t, sums, dx)))
     return diagnostics
 
 
@@ -252,28 +263,29 @@ def _tick_rows(
     period: float | None,
     segments: list[tuple[float, float]],
     state: ChannelState,
-) -> int | None:
-    """Rows of the tick stack for a run kicked with `period`, or None when
-    the run takes the channel path.
+) -> tuple[int, int] | None:
+    """Rows of the tick stack for a run kicked with `period`, and how many
+    of `segments` it runs; None when the run takes the channel path from the
+    start.
 
     Channel n is sum_m z_n^m Phi_m, Phi_m the packet inside for exactly m
     kicks, when every channel starts as the same packet: one row with equal
-    weights, as `product_state` builds.  The ticks are taken when their
-    row-flights, k + 1 a flight after k kicks, are fewer than the channel
-    path's, 2j+1 a flight.
+    weights, as `product_state` builds.  The stack has k + 1 live rows after
+    k kicks.  One that would grow past 2j+1 rows hands over to the channel
+    loop at its first flight of 2j+1 rows, as one row per channel costs no
+    more from there on; any other runs every segment.
     """
     w = state.weights
     if period is None or w is None or w.shape[1] != 1 or not (w == w[0, 0]).all():
         return None
-    live, tick_flights, flights = 1, 0, 0
-    for flight, phase in segments:
-        if flight:
-            tick_flights, flights = tick_flights + live, flights + 1
+    n_modes, rows = state.clock.n_modes, 1 + sum(1 for _, phase in segments if phase)
+    live = 1
+    for i, (flight, phase) in enumerate(segments):
+        if flight and live >= n_modes and rows > n_modes:
+            return live, i
         if phase:
             live += 1
-    if tick_flights >= state.clock.n_modes * flights:
-        return None
-    return live
+    return live, len(segments)
 
 
 def _run_ticks(
@@ -281,20 +293,21 @@ def _run_ticks(
     state: ChannelState,
     rows: int,
     segments: list[tuple[float, float]],
-    workers: int | None,
+    workers: int,
+    pool: ThreadPoolExecutor | None,
 ) -> Trajectory:
     """The tick path of `evolve_kicked` from the product `state`: a stack of
-    `rows` rows, one per reading, that ends as the final state with weights
+    `rows` rows, one per reading, that ends as the state with weights
     `clock_phases[n, m]` = z_n^m, z_n = exp(-i n omega kick_period).
 
     Row 0 starts as the packet every channel starts as, the others as zeros.
     A flight propagates the live rows, split into blocks by the channel
-    path's rule; a kick makes one more row live and moves the region part
-    of row m to row m + 1 on the calling thread.  Guards run after every
-    segment but the first, on the exact masses of the channel state: over
-    columns S, dx sum_{m,m'} H[m - m'] G[m, m'] with G = Phi_S Phi_S^H and
-    H_d = sum_n z_n^d.  The norm is the stack's, (2j+1) dx sum_m |Phi_m|^2,
-    which equals the channels' in exact arithmetic.
+    path's rule, all but the first on `pool`; a kick makes one more row live
+    and moves the region part of row m to row m + 1 on the calling thread.
+    Guards run after every segment but the first, on the exact masses of the
+    channel state: over columns S, dx sum_{m,m'} H[m - m'] G[m, m'] with G =
+    Phi_S Phi_S^H and H_d = sum_n z_n^d.  The norm is the stack's, (2j+1) dx
+    sum_m |Phi_m|^2, which equals the channels' in exact arithmetic.
     """
     grid, clock, n_modes = config.grid, config.clock, config.clock.n_modes
     region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
@@ -305,7 +318,6 @@ def _run_ticks(
     # H_d is real and even (the modes are -j..j), so only Re G counts, and
     # Re G = X X^T with X the real and imaginary parts of Phi_S side by side
     toeplitz = (clock_phases.conj().T @ clock_phases).real
-    workers = resolve_workers(workers)
     flights = _flight_propagators(config, segments)
     live = 1
 
@@ -322,22 +334,21 @@ def _run_ticks(
         ))
 
     t, diagnostics = 0.0, [sample(0.0)]
-    with _pool(_block_count(workers, rows, grid.num_points)) as pool:
-        for i, (flight, phase) in enumerate(segments):
-            if flight:
-                blocks = np.array_split(
-                    stack[:live], _block_count(workers, live, grid.num_points))
-                futures = [pool.submit(_fly, block, flights[flight]) for block in blocks[1:]]
-                _fly(blocks[0], flights[flight])
-                for future in futures:
-                    future.result()
-                t += flight
-            if phase:
-                live += 1
-                stack[1:live, region] = stack[:live - 1, region]
-                stack[0, region] = 0
-            if i:
-                diagnostics.append(sample(t))
+    for i, (flight, phase) in enumerate(segments):
+        if flight:
+            blocks = np.array_split(
+                stack[:live], _block_count(workers, live, grid.num_points))
+            futures = [pool.submit(_fly, block, flights[flight]) for block in blocks[1:]]
+            _fly(blocks[0], flights[flight])
+            for future in futures:
+                future.result()
+            t += flight
+        if phase:
+            live += 1
+            stack[1:live, region] = stack[:live - 1, region]
+            stack[0, region] = 0
+        if i:
+            diagnostics.append(sample(t))
     return Trajectory(ChannelState(clock, grid, stack, clock_phases), diagnostics)
 
 
@@ -349,16 +360,27 @@ def _evolve(
     check_every: int,
     workers: int | None,
 ) -> Trajectory:
-    """Runs `segments` on the tick stack when `_tick_rows` allows it (every
-    phase being `period`, and a guard check after every segment, as
-    `evolve_kicked` asks), and on one row per channel otherwise."""
+    """Runs `segments` on the tick stack as far as `_tick_rows` allows
+    (every phase being `period`, and a guard check after every segment, as
+    `evolve_kicked` asks), and the rest on one row per channel: a stack that
+    stops short of the last segment is expanded to the channels once, and
+    the channel loop goes on from there on the same pool."""
     state = initial_state if initial_state is not None else _initial_state(config)
-    rows = _tick_rows(period, segments, state)
-    if rows is not None:
-        return _run_ticks(config, state, rows, segments, workers)
-    amps = state.amplitudes.copy()
-    diagnostics = _run_schedule(config, amps, segments, check_every, workers)
-    return Trajectory(ChannelState(state.clock, state.grid, amps), diagnostics)
+    workers, n_modes = resolve_workers(workers), state.clock.n_modes
+    rows, start = _tick_rows(period, segments, state) or (n_modes, 0)
+    with _pool(_block_count(workers, min(rows, n_modes), config.grid.num_points)) as pool:
+        diagnostics = []
+        if start:
+            traj = _run_ticks(config, state, rows, segments[:start], workers, pool)
+            if start == len(segments):
+                return traj
+            state, diagnostics = traj.final_state, traj.diagnostics
+            del traj  # the stack goes with `state` once it is expanded
+        # the expansion of a factored state is a new array already
+        amps = state.rows.copy() if state.weights is None else state.weights @ state.rows
+        state = ChannelState(state.clock, state.grid, amps)
+        diagnostics += _run_schedule(config, amps, segments, check_every, workers, pool, start)
+    return Trajectory(state, diagnostics)
 
 
 def evolve_continuous(
@@ -392,8 +414,9 @@ def evolve_kicked(
     kick_at_zero), plus a final partial free flight up to t_final.
 
     No splitting error: the inter-kick Hamiltonian is purely kinetic.  A
-    product state runs in the tick basis when `_tick_rows` finds it cheaper,
-    and its final state keeps the clock phases as weights.
+    product state runs in the tick basis, and a final state reached there
+    keeps the clock phases as weights; a stack that would outgrow the 2j+1
+    channels runs on them from its first flight of 2j+1 rows.
     """
     schedule = config.kick_schedule
     if schedule is None:

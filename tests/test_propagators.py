@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -62,25 +63,25 @@ def _row_flights(cfg):
     return sum(rows)
 
 
-class _Taken(Exception):
-    pass
-
-
 def _path(cfg, state=None):
-    """("ticks", stack rows) or ("channels", rows) that evolve_kicked picks
-    for `cfg` and `state`, found without propagating anything."""
-    def ticks(config, state, rows, segments, workers):
-        raise _Taken("ticks", rows)
+    """The loops evolve_kicked runs for `cfg` and `state`, in order, each as
+    ("ticks", stack rows, segments) or ("channels", rows, segments), found
+    without propagating anything or making a pool."""
+    legs = []
 
-    def channels(config, amps, segments, check_every, workers):
-        raise _Taken("channels", amps.shape[0])
+    def ticks(config, state, rows, segments, workers, pool):
+        legs.append(("ticks", rows, len(segments)))
+        return propagators.Trajectory(state)
+
+    def channels(config, amps, segments, check_every, workers, pool, start):
+        legs.append(("channels", amps.shape[0], len(segments) - start))
+        return []
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagators, "_run_ticks", ticks)
         mp.setattr(propagators, "_run_schedule", channels)
-        with pytest.raises(_Taken) as info:
-            evolve_kicked(cfg, initial_state=state)
-    return info.value.args
+        evolve_kicked(cfg, initial_state=state, workers=1)
+    return tuple(legs)
 
 
 def _weighted(state):
@@ -134,6 +135,17 @@ class TestKineticStep:
         one = kinetic_step(kinetic_step(state, 0.7), 1.3)
         two = kinetic_step(state, 2.0)
         np.testing.assert_allclose(one.amplitudes, two.amplitudes, atol=1e-12)
+
+    def test_factored_state_flies_its_rows(self):
+        # a flight acts the same way on every channel, so a tick-path result
+        # (8 rows, weights z_n^m) flies its rows and keeps its weights
+        state = evolve_kicked(_config(mode="kicked", kick_period=0.7)).final_state
+        out = kinetic_step(state, 1.3)
+        assert out.rows.shape == state.rows.shape == (8, 2**9)
+        np.testing.assert_array_equal(out.weights, state.weights)
+        channels = tc.ChannelState(state.clock, state.grid, np.array(state.amplitudes))
+        np.testing.assert_allclose(out.amplitudes, kinetic_step(channels, 1.3).amplitudes,
+                                   rtol=0, atol=1e-15)
 
 
 class TestCouplingPhaseStep:
@@ -336,8 +348,9 @@ class TestScheduleLoop:
         assert not np.shares_memory(traj.final_state.amplitudes, state.amplitudes)
 
     # 17 x 2^13 values split into at most 4 blocks (by size); 5 x 2^16 into
-    # at most 2 (two rows or more a block).  The kicked run has 40 flights,
-    # too many for the tick path.
+    # at most 2 (two rows or more a block).  The kicked run's stack reaches
+    # 2j+1 rows within its 40 flights and hands the rest to the channel loop,
+    # on the same pool: one pool a run.
     @pytest.mark.parametrize("clock, grid, expected_blocks", [
         (tc.ClockSpec(0.8, 8), tc.SpatialGrid(-40.0, 40.0, 2**13), [2, 3, 4]),
         (tc.ClockSpec(0.8, 2), tc.SpatialGrid(-40.0, 40.0, 2**16), [2, 2, 2]),
@@ -351,6 +364,8 @@ class TestScheduleLoop:
         monkeypatch.setattr(propagators, "ThreadPoolExecutor", _SpyExecutor)
         monkeypatch.setattr(_SpyExecutor, "sizes", [])
         cfg = _config(clock=clock, grid=grid, **overrides)
+        if cfg.mode == "kicked":
+            assert [leg[0] for leg in _path(cfg)] == ["ticks", "channels"]
         runs = [run_experiment(cfg, workers=w)
                 for w in (1, 2, 3, clock.n_modes + 2)]
         assert [size + 1 for size in _SpyExecutor.sizes] == expected_blocks
@@ -418,21 +433,26 @@ class TestScheduleLoop:
         assert len(lagging_flights) == round(failed_at / 0.25) < 12
 
     def test_error_in_a_block_stops_the_others(self, monkeypatch):
+        # on the tick stack of a product state, which splits from 4 live rows
+        # on, and on one row per channel
         flight, other_flights = propagators._free_flight, []
 
         def second_block_fails(amps, propagator):
-            if amps.shape[0] == 8:
+            if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("second block")
             other_flights.append(propagator)
             time.sleep(0.01)
             return flight(amps, propagator)
 
         monkeypatch.setattr(propagators, "_free_flight", second_block_fails)
-        cfg = _config(grid=tc.SpatialGrid(-40.0, 40.0, 2**14), mode="kicked",
-                      kick_period=0.01, t_final=1.0)
-        with pytest.raises(MemoryError, match="second block"):
-            run_experiment(cfg, workers=2)
-        assert len(other_flights) < 10
+        grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
+        cfg = _config(grid=grid, mode="kicked", kick_period=0.01, t_final=1.0)
+        product = _free_state(grid=grid)[0]
+        for state in (product, _weighted(product)):
+            other_flights.clear()
+            with pytest.raises(MemoryError, match="second block"):
+                evolve_kicked(cfg, initial_state=state, workers=2)
+            assert len(other_flights) < 10
 
     @pytest.mark.parametrize("engine, overrides", [
         (evolve_continuous, {}),
@@ -512,25 +532,28 @@ class TestScheduleLoop:
 
 
 def _expected_path(cfg, product):
-    """The path `_tick_rows` should pick: the tick stack when the state is a
-    product and its row-flights, one per live row, are fewer than 2j+1 a
-    flight."""
-    sched = cfg.kick_schedule
-    kicks = sched.n_kicks + cfg.kick_at_zero
+    """The loops `_path` should find: the tick stack when the state is a
+    product, up to its first flight of 2j+1 live rows if it would grow past
+    2j+1 rows, and one row per channel from there, or from the start."""
+    n, sched = cfg.clock.n_modes, cfg.kick_schedule
     flights = sched.n_kicks + (cfg.t_final - sched.n_kicks * sched.period
                                > 1e-12 * cfg.t_final)
-    tick_flights = sum(1 + cfg.kick_at_zero + i for i in range(flights))
-    if product and tick_flights < cfg.clock.n_modes * flights:
-        return ("ticks", kicks + 1)
-    return ("channels", cfg.clock.n_modes)
+    segments, rows = flights + 1, sched.n_kicks + cfg.kick_at_zero + 1
+    if not product:
+        return (("channels", n, segments),)
+    if rows <= n:
+        return (("ticks", rows, segments),)
+    # flight i, in segment i, propagates kick_at_zero + i live rows (j > 0)
+    switch = n - cfg.kick_at_zero
+    return (("ticks", n, switch), ("channels", n, segments - switch))
 
 
 @st.composite
 def _random_kicked_runs(draw):
     """A small kicked config with omega T / 2 pi either a fraction a / b,
     b < 2j+1, or a random float, and an initial state that is a product or
-    one row per channel, the rows repeating a few weights; also the path
-    and stack size `_tick_rows` should pick."""
+    one row per channel, the rows repeating a few weights; also the loops
+    `_path` should find."""
     j = draw(st.integers(1, 6))
     n_modes = 2 * j + 1
     T = draw(st.floats(0.3, 1.2))
@@ -559,16 +582,20 @@ def _random_kicked_runs(draw):
 
 @st.composite
 def _random_tick_runs(draw):
-    """A small kicked product-state config with at most 2j+1 flights, so it
-    takes the tick path, and whether its period is commensurate: either
-    omega T / 2 pi = a / b with b below the kick count, so the kicks run past
-    one clock period and channels b apart share every kick phase, or a
-    random float."""
+    """A small kicked product-state config, which starts on the tick path,
+    and whether its period is commensurate: either omega T / 2 pi = a / b
+    with b below the kick count, so the kicks run past one clock period and
+    channels b apart share every kick phase, or a random float.  Half the
+    draws have 2j+1 to 2(2j+1) kicks, which would grow the stack past 2j+1
+    rows, so that it hands over to the channel loop; the others 3 to 2j - 1
+    kicks, which it runs to the end."""
     j = draw(st.integers(3, 6))
-    T = draw(st.floats(3.0 / (2 * j + 1), 1.2))
+    n_modes = 2 * j + 1
+    kicks = draw(st.integers(n_modes, 2 * n_modes) if draw(st.booleans())
+                 else st.integers(3, n_modes - 2))
+    T = 3.0 / (kicks + draw(st.floats(0.0, 0.9)))
     commensurate = draw(st.booleans())
     if commensurate:
-        kicks = math.floor(3.0 / T + 1e-12)
         a, b = draw(st.integers(1, 3)), draw(st.integers(1, kicks - 1))
         omega = 2.0 * math.pi * a / (b * T)
     else:
@@ -581,20 +608,24 @@ def _random_tick_runs(draw):
 
 class TestKickClasses:
     """Which rows a kicked run propagates: the tick stack of a product
-    state when it is cheaper, one row per channel otherwise."""
+    state, up to 2j+1 rows, and one row per channel otherwise."""
 
-    # the rows a run ends with, one per kick count on the tick path, and its
-    # row-flights; T0.1 takes the channel path, since 31375 tick row-flights
-    # are not fewer than 101 x 250
-    ROW_FLIGHTS = {0.1: 25250, 0.2: 7875, 0.5: 1275, 1.0: 325, 2.0: 91, 5.0: 15}
+    # the rows of each run's stack, one per kick count, and its row-flights.
+    # T0.1 and T0.2 reach 101 live rows at t=10 and t=20 and fly the rest on
+    # 101 channels: T0.1 5050 + 150 x 101, against 25250 on channels alone
+    # (T0.2 fails its boundary guard at t=20, before the hand-over)
+    ROW_FLIGHTS = {0.1: 20200, 0.2: 7575, 0.5: 1275, 1.0: 325, 2.0: 91, 5.0: 15}
+    CHANNEL_SEGMENTS = {0.1: 150, 0.2: 25}
 
     @pytest.mark.parametrize("T, expected", [
-        (0.1, 101), (0.2, 126), (0.5, 51), (1.0, 26), (2.0, 13), (5.0, 6),
+        (0.1, 101), (0.2, 101), (0.5, 51), (1.0, 26), (2.0, 13), (5.0, 6),
     ])
     def test_fig1_class_counts(self, T, expected):
         cfg = get_preset(f"fig1-kicked-T{T:g}")
-        path = "channels" if T == 0.1 else "ticks"
-        assert _path(cfg) == (path, expected)
+        (loop, rows, _), *channels = _path(cfg)
+        assert (loop, rows) == ("ticks", expected)
+        assert channels == ([("channels", 101, self.CHANNEL_SEGMENTS[T])]
+                            if T in self.CHANNEL_SEGMENTS else [])
         assert _row_flights(cfg) == self.ROW_FLIGHTS[T]
 
     def test_no_period_gives_identity_classes(self, monkeypatch):
@@ -618,13 +649,13 @@ class TestKickClasses:
         expected = _kicked_composition(cfg, state).amplitudes
         final = evolve_kicked(cfg, initial_state=state).final_state.amplitudes
         if product:
-            assert _path(cfg, state) == ("ticks", 7)
+            assert _path(cfg, state) == (("ticks", 7, 7),)
             np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
             # the same channels, built by hand as equal rows, are not factored
             rows = tc.ChannelState(state.clock, state.grid, state.amplitudes.copy())
-            assert _path(cfg, rows) == ("channels", 17)
+            assert _path(cfg, rows) == (("channels", 17, 7),)
         else:
-            assert _path(cfg, state) == ("channels", 17)
+            assert _path(cfg, state) == (("channels", 17, 7),)
             np.testing.assert_array_equal(final, expected)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -645,11 +676,13 @@ class TestKickClasses:
         # whole period apart coincide; the clock marginal is the theta-grid
         # oracle's all the same
         cfg, commensurate = run
-        assert _path(cfg)[0] == "ticks"
+        loops = [leg[0] for leg in _path(cfg)]
+        assert loops in (["ticks"], ["ticks", "channels"])
         if commensurate:
             assert cfg.kick_schedule.n_kicks * cfg.kick_period > cfg.clock.period
         ticks = run_experiment(cfg)
-        assert ticks.final_state.weights is not None  # read from the factors
+        # read from the factors unless the channel loop took over
+        assert (ticks.final_state.weights is None) == (len(loops) == 2)
         _, density = analysis.theta_distribution(ticks.final_state, 64)
         np.testing.assert_allclose(density[:-1],
                                    oracles.evolve_theta_grid(cfg, 64).theta_marginal(),
@@ -683,7 +716,7 @@ class TestKickClasses:
         monkeypatch.setattr(_SpyExecutor, "sizes", [])
         cfg = _config(grid=tc.SpatialGrid(-40.0, 40.0, 2**14), mode="kicked",
                       kick_period=_commensurate_period(0.8, 1, 9), t_final=12.0)
-        assert _path(cfg) == ("ticks", 14)
+        assert _path(cfg) == (("ticks", 14, 15),)
         runs = [run_experiment(cfg, workers=w) for w in (1, 2, 4)]
         assert [size + 1 for size in _SpyExecutor.sizes] == [2, 4]
         for run in runs[1:]:
@@ -693,10 +726,11 @@ class TestKickClasses:
 
     def test_fig1_t02_leak_message(self):
         # the tick path's masses fail the boundary guard at the same kick and
-        # to the same digits as the channel path did
+        # to the same digits as the channel path did, before the stack's
+        # first flight of 101 rows
         cfg = dataclasses.replace(get_preset("fig1-kicked-T0.2"),
                                   grid=tc.SpatialGrid(-250.0, 150.0, 2**12))
-        assert _path(cfg) == ("ticks", 126)
+        assert _path(cfg) == (("ticks", 101, 101), ("channels", 101, 25))
         with pytest.raises(BoundaryLeakError) as info:
             run_experiment(cfg)
         assert str(info.value) == "boundary occupancy 2.053e-02 at t=20"
@@ -714,8 +748,8 @@ class TestKickClasses:
         spec = tc.WavepacketSpec(1.0, -15.0, 5.0)
         product = tc.product_state(scale * tc.init_gaussian(spec, grid), cfg.clock, grid)
         unmerged = tc.ChannelState(cfg.clock, grid, product.amplitudes.copy())
-        assert _path(cfg, product)[0] == "ticks"
-        assert _path(cfg, unmerged) == ("channels", 17)
+        assert _path(cfg, product)[0][0] == "ticks"
+        assert _path(cfg, unmerged)[0][:2] == ("channels", 17)
         messages = []
         for state in (unmerged, product):
             for workers in (1, 2, 4):
