@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import sys
 import warnings
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -84,33 +83,29 @@ def regime_warnings(config: ExperimentConfig, report: RegimeReport) -> list[str]
     return warnings
 
 
-def _csv_lines(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
-    """The lines of a CSV table, every value as ``%.17g`` (one ``%`` per row)."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = map(np.ndarray.tolist, np.column_stack(columns))
-    return itertools.chain([",".join(header) + "\n"],
-                           (line % tuple(row) for row in rows))
+_PIECE_VALUES = 4096  # values a CSV piece formats at once; bounds the text held
 
 
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    """``"".join(_csv_lines(header, columns))`` with one ``%`` for the body;
-    for narrow tables, since the body is built as one string."""
+def _csv_pieces(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
+    """A CSV table, every value as ``%.17g``: the header line, then the rows
+    in pieces of at most `_PIECE_VALUES` values (or one row), one ``%`` each."""
+    yield ",".join(header) + "\n"
     table = np.column_stack(columns)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    rows = max(1, _PIECE_VALUES // len(columns))
+    for lo in range(0, len(table), rows):
+        piece = table[lo:lo + rows]
+        yield (line * len(piece)) % tuple(piece.ravel().tolist())
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    # streamed row by row: a wide table is never held as one string
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_csv_lines(header, columns))
-
-
-def _write_hashed(path: Path, text: str) -> str:
-    """Write ``text`` as UTF-8 and return the SHA-256 of the bytes written."""
-    data = text.encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+def _write_hashed(path: Path, pieces: Iterable[str]) -> str:
+    """Write the text `pieces` as UTF-8 and return the SHA-256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for data in (piece.encode("utf-8") for piece in pieces):
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def cmd_run(
@@ -145,7 +140,7 @@ def cmd_run(
         ("note.parameters", IMPLEMENTATION_CHOICE_NOTE),
     ]
     digests: dict[str, str] = {}  # SHA-256 of each data file, in manifest order
-    digests[data_name] = _write_hashed(out_dir / data_name, _csv_text(
+    digests[data_name] = _write_hashed(out_dir / data_name, _csv_pieces(
         ["t", "density", "cdf"], [series.times, series.density, series.cdf]))
     manifest.append((f"mass.{data_name}", f"{series.total_mass:.17g}"))
     if config.mode != "ideal-reference":
@@ -160,8 +155,8 @@ def cmd_run(
             ("transmission.right", f"{trans.total_right:.17g}"),
         ]
 
-    digests["config.txt"] = _write_hashed(out_dir / "config.txt", emit_config(config))
-    digests["regime.txt"] = _write_hashed(out_dir / "regime.txt", regime_text(report))
+    digests["config.txt"] = _write_hashed(out_dir / "config.txt", [emit_config(config)])
+    digests["regime.txt"] = _write_hashed(out_dir / "regime.txt", [regime_text(report)])
 
     for w in warnings:
         manifest.append(("warning", w))
@@ -212,9 +207,8 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_csv(out_dir / "compare_cdf.csv",
-               ["t"] + names,
-               [base] + [s.cdf for s in series])
+    _write_hashed(out_dir / "compare_cdf.csv",
+                  _csv_pieces(["t"] + names, [base] + [s.cdf for s in series]))
 
     # `analysis.distribution_distance` of run i against a block of later runs
     # per kernel call (grids checked above): the same sums, so the same bytes

@@ -16,7 +16,7 @@ import numpy as np
 DOMINANCE_FACTOR = 10.0
 # largest negative-momentum weight of a packet: the dwell map t = m*d/p needs p > 0
 NEG_MOMENTUM_MAX = 1e-6
-# a packet starts more than this many sigma from either grid edge
+# a packet starts more than this many spreads from either grid edge, in x and in p
 _SUPPORT_MARGIN = 8.0
 
 
@@ -134,7 +134,8 @@ class SpatialGrid:
     """Uniform periodic grid with the matching discrete Fourier wavenumbers.
 
     Wavenumbers follow FFT ordering: zero first, then positive, then
-    negative, spanning [-pi/dx, pi/dx).
+    negative, spanning [-pi/dx, pi/dx).  `edges` are the column slices the
+    boundary guards sum over, `region_slice` those of the coupling region.
     """
 
     x_min: float
@@ -165,10 +166,11 @@ class SpatialGrid:
         return 2.0 * math.pi * np.fft.fftfreq(self.num_points, d=self.dx)
 
     @property
-    def edge_points(self) -> int:
-        """Points in the outermost 1 % of the grid at each edge (at least one),
-        where amplitude that wraps around the periodic grid shows up."""
-        return max(1, round(0.01 * self.num_points))
+    def edges(self) -> tuple[slice, slice]:
+        """The outermost 1 % of the grid at each edge (at least one point
+        each), where amplitude that wraps around the periodic grid shows up."""
+        n = max(1, round(0.01 * self.num_points))
+        return slice(None, n), slice(-n, None)
 
     def region_mask(self, region: RegionSpec) -> np.ndarray:
         """Grid points belonging to the coupling region (closed interval)."""
@@ -249,10 +251,8 @@ class ChannelState:
         return float(self.overlaps(self.grid.region_slice(region), diagonal=True).sum())
 
     def boundary_mass(self) -> float:
-        """Mass in the `SpatialGrid.edge_points` at each edge of the grid."""
-        n_edge = self.grid.edge_points
-        edges = self.overlaps(slice(None, n_edge), slice(-n_edge, None), diagonal=True)
-        return float(edges.sum())
+        """Mass in the two `SpatialGrid.edges` of the grid."""
+        return float(self.overlaps(*self.grid.edges, diagonal=True).sum())
 
 
 def init_gaussian(
@@ -260,7 +260,8 @@ def init_gaussian(
 ) -> np.ndarray:
     """Normalized Gaussian amplitude exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
 
-    Normalization is discrete: sum |psi|^2 dx = 1.
+    Normalization is discrete: sum |psi|^2 dx = 1.  The packet must lie
+    more than `_SUPPORT_MARGIN` spreads inside the grid, in x and in p.
     """
     if spec.x0 - grid.x_min <= _SUPPORT_MARGIN * spec.sigma:
         raise ValueError(
@@ -271,6 +272,13 @@ def init_gaussian(
         raise ValueError(
             f"packet too close to right grid edge: x0={spec.x0}, "
             f"x_max={grid.x_max}, sigma={spec.sigma}"
+        )
+    p_max = abs(spec.p0) + _SUPPORT_MARGIN * spec.momentum_std(hbar)
+    nyquist = math.pi * hbar / grid.dx
+    if p_max >= nyquist:
+        raise ValueError(
+            f"packet momentum |p0| + {_SUPPORT_MARGIN:g} sigma_p = {p_max:.6g} is not "
+            f"below the grid's largest momentum pi*hbar/dx = {nyquist:.6g}"
         )
     x = grid.x
     psi = np.exp(

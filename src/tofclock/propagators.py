@@ -5,12 +5,13 @@ splits into independent channels: channel n sees a rectangular barrier
 (well) of height n*hbar*omega on the coupling region.  The channel loop
 propagates one row per channel, the tick loop a product state's packet rows,
 one per kick count.  A stack that would outgrow the channels hands the state
-to the channel loop at its first flight of as many rows as channels.
+to the channel loop at its first flight of as many rows as channels.  Both
+loops split their rows into blocks, fly them with `_fly` through
+`_each_block` on one pool a run, and guard the grid's `edges`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import time as _time
@@ -58,12 +59,13 @@ def _coupling_phases(modes: np.ndarray, omega: float, duration: float) -> np.nda
     return np.exp(-1j * modes * omega * duration)[:, None]
 
 
-def _free_flight(amps: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-    """Exact free flight of every channel, in place where scipy allows it;
-    use the returned array."""
-    amps = sfft.fft(amps, axis=-1, overwrite_x=True)
-    amps *= propagator
-    return sfft.ifft(amps, axis=-1, overwrite_x=True)
+def _fly(rows: np.ndarray, propagator: np.ndarray) -> None:
+    """Exact free flight of every row, in place."""
+    out = sfft.fft(rows, axis=-1, overwrite_x=True)
+    out *= propagator
+    out = sfft.ifft(out, axis=-1, overwrite_x=True)
+    if not np.shares_memory(out, rows):  # scipy did not overwrite
+        rows[...] = out
 
 
 def _couple(amps: np.ndarray, phases: np.ndarray, region: slice) -> None:
@@ -81,7 +83,7 @@ def kinetic_step(
     weights."""
     rows = state.rows.copy()
     if dt != 0:
-        rows = _free_flight(rows, _kinetic_propagator(state.grid, dt, m, hbar))
+        _fly(rows, _kinetic_propagator(state.grid, dt, m, hbar))
     return ChannelState(state.clock, state.grid, rows, state.weights)
 
 
@@ -146,11 +148,12 @@ def _block_count(workers: int, rows: int, num_points: int) -> int:
     return max(1, min(workers, rows // 2, rows * num_points // _MIN_BLOCK_VALUES))
 
 
-def _pool(blocks: int):
-    """Threads for every block but the first, which the caller runs; on an
-    error or interrupt, leaving the pool waits only for the other blocks'
-    current work."""
-    return ThreadPoolExecutor(blocks - 1) if blocks > 1 else contextlib.nullcontext()
+def _each_block(pool: ThreadPoolExecutor, fn, blocks: int) -> list:
+    """[fn(0), ..., fn(blocks - 1)]: block 0 on the calling thread, the
+    others on `pool`.  An error in a block is raised from here; leaving the
+    pool then waits for the other blocks' current work."""
+    futures = [pool.submit(fn, b) for b in range(1, blocks)]
+    return [fn(0)] + [future.result() for future in futures]
 
 
 def _flight_propagators(
@@ -190,7 +193,7 @@ def _run_schedule(
     segments: list[tuple[float, float]],
     check_every: int,
     workers: int,
-    pool: ThreadPoolExecutor | None,
+    pool: ThreadPoolExecutor,
     start: int,
 ) -> list[DiagnosticSample]:
     """The channel path of both engines; evolves `amps` in place.
@@ -208,12 +211,12 @@ def _run_schedule(
     The channels never mix, so the rows are split into up to `workers`
     contiguous blocks (views of one array); a small state stays in one
     block.  All blocks advance together from one guard check to the next,
-    block 0 on the calling thread and the others on `pool`.  Each returns
-    its per-row sums, which are reduced in row order, so neither the
+    through `_each_block`.  Each returns its per-row sums over the region
+    and the grid's `edges`, which are reduced in row order, so neither the
     diagnostics nor the amplitudes depend on the number of blocks.
     """
     grid, clock = config.grid, config.clock
-    region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
+    region = grid.region_slice(config.region)
     k = _block_count(workers, amps.shape[0], grid.num_points)
     blocks = np.array_split(amps, k)
     flights = _flight_propagators(config, segments)
@@ -239,24 +242,15 @@ def _run_schedule(
                 _fly(block, flights[flight])
             if phase:
                 _couple(block, phases[phase][b], region)
-        return row_sums(block, slice(None), region, slice(None, n_edge), slice(-n_edge, None))
+        return row_sums(block, slice(None), region, *grid.edges)
 
     diagnostics = []
     for interval in intervals:
-        futures = [pool.submit(advance, b, interval) for b in range(1, k)]
-        sums = np.concatenate(
-            [advance(0, interval)] + [future.result() for future in futures], axis=1
-        )
+        sums = np.concatenate(_each_block(pool, lambda b: advance(b, interval), k), axis=1)
         for flight, _ in interval:
             t += flight
-        diagnostics.append(_check_guards(config, _sample(t, sums, dx)))
+        diagnostics.append(_check_guards(config, _sample(t, sums, grid.dx)))
     return diagnostics
-
-
-def _fly(rows: np.ndarray, propagator: np.ndarray) -> None:
-    out = _free_flight(rows, propagator)
-    if not np.shares_memory(out, rows):
-        rows[...] = out
 
 
 def _tick_rows(
@@ -294,7 +288,7 @@ def _run_ticks(
     rows: int,
     segments: list[tuple[float, float]],
     workers: int,
-    pool: ThreadPoolExecutor | None,
+    pool: ThreadPoolExecutor,
 ) -> Trajectory:
     """The tick path of `evolve_kicked` from the product `state`: a stack of
     `rows` rows, one per reading, that ends as the state with weights
@@ -302,15 +296,16 @@ def _run_ticks(
 
     Row 0 starts as the packet every channel starts as, the others as zeros.
     A flight propagates the live rows, split into blocks by the channel
-    path's rule, all but the first on `pool`; a kick makes one more row live
-    and moves the region part of row m to row m + 1 on the calling thread.
+    path's rule, through `_each_block`; a kick makes one more row live and
+    moves the region part of row m to row m + 1 on the calling thread.
     Guards run after every segment but the first, on the exact masses of the
-    channel state: over columns S, dx sum_{m,m'} H[m - m'] G[m, m'] with G =
-    Phi_S Phi_S^H and H_d = sum_n z_n^d.  The norm is the stack's, (2j+1) dx
-    sum_m |Phi_m|^2, which equals the channels' in exact arithmetic.
+    channel state over the region and the grid's `edges`: over columns S,
+    dx sum_{m,m'} H[m - m'] G[m, m'] with G = Phi_S Phi_S^H and H_d =
+    sum_n z_n^d.  The norm is the stack's, (2j+1) dx sum_m |Phi_m|^2, which
+    equals the channels' in exact arithmetic.
     """
     grid, clock, n_modes = config.grid, config.clock, config.clock.n_modes
-    region, n_edge, dx = grid.region_slice(config.region), grid.edge_points, grid.dx
+    region, dx = grid.region_slice(config.region), grid.dx
     stack = np.zeros((rows, grid.num_points), dtype=complex)
     stack[0] = state.weights[0, 0] * state.rows[0]
     clock_phases = np.exp(-1j * clock.omega * config.kick_period
@@ -327,7 +322,7 @@ def _run_ticks(
 
     def sample(t: float) -> DiagnosticSample:
         phi = stack[:live]
-        edges = np.concatenate((phi[:, :n_edge], phi[:, -n_edge:]), axis=1)
+        edges = np.concatenate([phi[:, edge] for edge in grid.edges], axis=1)
         return _check_guards(config, DiagnosticSample(
             t=t, norm=float(n_modes * np.vdot(phi, phi).real) * dx,
             region_mass=mass(phi[:, region]), boundary_mass=mass(edges),
@@ -338,10 +333,7 @@ def _run_ticks(
         if flight:
             blocks = np.array_split(
                 stack[:live], _block_count(workers, live, grid.num_points))
-            futures = [pool.submit(_fly, block, flights[flight]) for block in blocks[1:]]
-            _fly(blocks[0], flights[flight])
-            for future in futures:
-                future.result()
+            _each_block(pool, lambda b: _fly(blocks[b], flights[flight]), len(blocks))
             t += flight
         if phase:
             live += 1
@@ -364,11 +356,13 @@ def _evolve(
     (every phase being `period`, and a guard check after every segment, as
     `evolve_kicked` asks), and the rest on one row per channel: a stack that
     stops short of the last segment is expanded to the channels once, and
-    the channel loop goes on from there on the same pool."""
+    the channel loop goes on from there on the same pool.  The pool may
+    have a thread for every worker but the calling one; threads start only
+    as blocks are handed to it, so a state too small to split starts none."""
     state = initial_state if initial_state is not None else _initial_state(config)
-    workers, n_modes = resolve_workers(workers), state.clock.n_modes
-    rows, start = _tick_rows(period, segments, state) or (n_modes, 0)
-    with _pool(_block_count(workers, min(rows, n_modes), config.grid.num_points)) as pool:
+    workers = resolve_workers(workers)
+    rows, start = _tick_rows(period, segments, state) or (state.clock.n_modes, 0)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         diagnostics = []
         if start:
             traj = _run_ticks(config, state, rows, segments[:start], workers, pool)

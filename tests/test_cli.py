@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -19,9 +20,7 @@ from tofclock.analysis import (
     state_tof_distribution,
 )
 from tofclock.cli import (
-    _csv_lines,
-    _csv_text,
-    _write_csv,
+    _csv_pieces,
     _write_hashed,
     cmd_compare,
     cmd_run,
@@ -249,19 +248,36 @@ def _csv_tables(draw):
     return [f"c{k}" for k in range(cols)], [table[:, k].copy() for k in range(cols)]
 
 
+def _check_table(path, header, columns):
+    """The written table, its digest and its pieces' text all equal the
+    per-value rendering; returns the number of pieces."""
+    expected = _per_value_csv(header, columns)
+    digest = _write_hashed(path, _csv_pieces(header, columns))
+    assert path.read_bytes() == expected
+    assert digest == hashlib.sha256(expected).hexdigest()
+    pieces = list(_csv_pieces(header, columns))
+    assert "".join(pieces).encode("utf-8") == expected
+    return len(pieces)
+
+
 class TestCsvOutput:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_csv_tables())
     def test_bytes_match_per_value_formatting(self, tmp_path_factory, table):
         header, columns = table
-        expected = _per_value_csv(header, columns)
-        path = tmp_path_factory.mktemp("csv") / "table.csv"
-        _write_csv(path, header, columns)
-        assert path.read_bytes() == expected
-        digest = _write_hashed(path, "".join(_csv_lines(header, columns)))
-        assert path.read_bytes() == expected
-        assert digest == hashlib.sha256(expected).hexdigest()
-        assert _csv_text(header, columns).encode("utf-8") == expected
+        _check_table(tmp_path_factory.mktemp("csv") / "table.csv", header, columns)
+
+    @pytest.mark.parametrize("rows, cols, pieces", [(1500, 3, 3), (100, 101, 4), (0, 3, 1)])
+    def test_tables_spanning_pieces(self, tmp_path, rows, cols, pieces):
+        # the header, then pieces of 4096 // cols rows: 1365 and 135 rows
+        # of 3 columns, 40, 40 and 20 of 101; a header-only table is one piece
+        rng = np.random.default_rng(rows + cols)
+        values = np.concatenate([_CSV_EDGE_VALUES,
+                                 rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)])
+        table = rng.choice(values, size=(rows, cols))
+        header = [f"c{k}" for k in range(cols)]
+        columns = [table[:, k].copy() for k in range(cols)]
+        assert _check_table(tmp_path / "table.csv", header, columns) == pieces
 
 
 class TestCmdRun:
@@ -348,8 +364,8 @@ class TestCmdRun:
             name, series = "tof_density.csv", state_tof_distribution(result.final_state)
         else:
             name, series = "ideal_dwell.csv", result.ideal
-        want = "".join(_csv_lines(["t", "density", "cdf"],
-                                  [series.times, series.density, series.cdf]))
+        want = "".join(_csv_pieces(["t", "density", "cdf"],
+                                   [series.times, series.density, series.cdf]))
         assert (out / name).read_text(encoding="utf-8") == want
 
 
@@ -411,8 +427,9 @@ class TestCmdCompare:
             density = rng.dirichlet(np.ones(len(real))) @ [s.density for s in real]
             run = tmp_path / f"mix{k:02d}"
             run.mkdir()
-            _write_csv(run / "tof_density.csv", ["t", "density", "cdf"],
-                       [times, density, DistributionSeries.from_density(times, density).cdf])
+            _write_hashed(run / "tof_density.csv", _csv_pieces(
+                ["t", "density", "cdf"],
+                [times, density, DistributionSeries.from_density(times, density).cdf]))
             runs.append(run)
         assert len(runs) == 43
         series = [load(run) for run in runs]
@@ -541,6 +558,21 @@ class TestMain:
                 if out == "plain":
                     got = (tmp_path / "after_error" / name).read_bytes()
                     assert _without_wall_time(got) == want
+
+    def test_unresolved_packet_exits_two(self, tmp_path, capsys):
+        # p0 = 40 at 2^12 points: the packet's momenta reach past pi hbar/dx
+        cfg = get_preset("fig1-high-energy")
+        cfg = dataclasses.replace(
+            cfg, packet=dataclasses.replace(cfg.packet, p0=40.0),
+            grid=dataclasses.replace(cfg.grid, num_points=2**12))
+        path = tmp_path / "exp.cfg"
+        path.write_text(emit_config(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sigma_p = 44 is not below the grid's largest momentum " in err
+        assert "pi*hbar/dx = 32.1699" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--theta-points", "2048"], ["--kick-at-zero"]])
     def test_removed_run_options_exit_two(self, tmp_path, option):

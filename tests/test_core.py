@@ -147,6 +147,14 @@ class TestInitialState:
         with pytest.raises(ValueError):
             tc.init_gaussian(tc.WavepacketSpec(10.0, 0.0, 4.0), self.GRID)
 
+    def test_rejects_momenta_past_grid(self):
+        # pi hbar / dx = 40.2124 on GRID; |p0| + 8 sigma_p = |p0| + 2.6667
+        for p0 in (37.5, -37.5):
+            tc.init_gaussian(tc.WavepacketSpec(1.5, -10.0, p0), self.GRID)
+        for p0 in (37.6, -37.6):
+            with pytest.raises(ValueError, match=r"= 40\.2667 .* = 40\.2124$"):
+                tc.init_gaussian(tc.WavepacketSpec(1.5, -10.0, p0), self.GRID)
+
     def test_hand_weights_uniform(self):
         clock = tc.ClockSpec(1.0, 4)
         psi = tc.init_gaussian(self.SPEC, self.GRID)

@@ -300,15 +300,34 @@ class TestKickedEvolution:
         assert dists[-1] < 0.25 * dists[0]
 
 
-class _SpyExecutor(propagators.ThreadPoolExecutor):
-    """Records the number of threads of every pool the engines construct
-    (one less than the number of blocks: the caller runs one)."""
+def _spied_run(cfg, workers):
+    """run_experiment(cfg, workers) and what it did with threads: the pools
+    it opened, the blocks of each fan-out (one per flight on the tick stack,
+    one per guard interval on the channels) and the pool threads that flew
+    rows."""
+    executors, blocks, threads, caller = [], [], set(), threading.get_ident()
+    executor, each_block, fly = (propagators.ThreadPoolExecutor,
+                                 propagators._each_block, propagators._fly)
 
-    sizes: list = []
+    def opened(*args):
+        executors.append(args)
+        return executor(*args)
 
-    def __init__(self, max_workers):
-        type(self).sizes.append(max_workers)
-        super().__init__(max_workers)
+    def fanned_out(pool, fn, count):
+        blocks.append(count)
+        return each_block(pool, fn, count)
+
+    def flown(rows, propagator):
+        if threading.get_ident() != caller:
+            threads.add(threading.get_ident())
+        fly(rows, propagator)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagators, "ThreadPoolExecutor", opened)
+        mp.setattr(propagators, "_each_block", fanned_out)
+        mp.setattr(propagators, "_fly", flown)
+        result = run_experiment(cfg, workers=workers)
+    return result, len(executors), blocks, threads
 
 
 class TestScheduleLoop:
@@ -347,43 +366,47 @@ class TestScheduleLoop:
         np.testing.assert_array_equal(state.amplitudes, before)
         assert not np.shares_memory(traj.final_state.amplitudes, state.amplitudes)
 
-    # 17 x 2^13 values split into at most 4 blocks (by size); 5 x 2^16 into
-    # at most 2 (two rows or more a block).  The kicked run's stack reaches
-    # 2j+1 rows within its 40 flights and hands the rest to the channel loop,
-    # on the same pool: one pool a run.
+    # at workers 1, 2, 3 and 2j+3: 17 x 2^13 values split into at most 4
+    # blocks (by size), 5 x 2^16 into at most 2 (two rows or more a block).
+    # The kicked run's stack reaches 2j+1 rows within its 40 flights and
+    # hands the rest to the channel loop, on the same pool: one pool a run,
+    # whose threads start only as blocks are handed to it.
     @pytest.mark.parametrize("clock, grid, expected_blocks", [
-        (tc.ClockSpec(0.8, 8), tc.SpatialGrid(-40.0, 40.0, 2**13), [2, 3, 4]),
-        (tc.ClockSpec(0.8, 2), tc.SpatialGrid(-40.0, 40.0, 2**16), [2, 2, 2]),
+        (tc.ClockSpec(0.8, 8), tc.SpatialGrid(-40.0, 40.0, 2**13), [1, 2, 3, 4]),
+        (tc.ClockSpec(0.8, 2), tc.SpatialGrid(-40.0, 40.0, 2**16), [1, 2, 2, 2]),
     ])
     @pytest.mark.parametrize("overrides", [
         dict(t_final=0.1),
         dict(mode="kicked", kick_period=0.0025, kick_at_zero=True, t_final=0.1),
     ])
-    def test_blocks_do_not_change_result(self, monkeypatch, clock, grid,
-                                         expected_blocks, overrides):
-        monkeypatch.setattr(propagators, "ThreadPoolExecutor", _SpyExecutor)
-        monkeypatch.setattr(_SpyExecutor, "sizes", [])
+    def test_blocks_do_not_change_result(self, clock, grid, expected_blocks, overrides):
         cfg = _config(clock=clock, grid=grid, **overrides)
         if cfg.mode == "kicked":
             assert [leg[0] for leg in _path(cfg)] == ["ticks", "channels"]
-        runs = [run_experiment(cfg, workers=w)
-                for w in (1, 2, 3, clock.n_modes + 2)]
-        assert [size + 1 for size in _SpyExecutor.sizes] == expected_blocks
+        runs = []
+        for workers, expected in zip((1, 2, 3, clock.n_modes + 2), expected_blocks):
+            run, executors, blocks, threads = _spied_run(cfg, workers)
+            assert executors == 1
+            assert max(blocks) == expected
+            if cfg.mode == "continuous":
+                assert set(blocks) == {expected}
+            assert len(threads) <= expected - 1
+            assert bool(threads) == (expected > 1)
+            runs.append(run)
         assert len(runs[0].diagnostics) >= 5
         for run in runs[1:]:
             np.testing.assert_array_equal(run.final_state.amplitudes,
                                           runs[0].final_state.amplitudes)
             assert run.diagnostics == runs[0].diagnostics
 
-    def test_small_state_stays_serial(self, monkeypatch):
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a thread pool for a state below the threshold")
-
-        monkeypatch.setattr(propagators, "ThreadPoolExecutor", no_threads)
+    def test_small_state_stays_serial(self):
         cfg = _config()
-        assert cfg.clock.n_modes * cfg.grid.num_points < 2**15
-        run_experiment(cfg, workers=4)
-        run_experiment(_config(mode="kicked", kick_period=0.7), workers=4)
+        assert cfg.clock.n_modes * cfg.grid.num_points < propagators._MIN_BLOCK_VALUES
+        for cfg in (cfg, _config(mode="kicked", kick_period=0.7)):
+            _, executors, blocks, threads = _spied_run(cfg, 4)
+            assert executors == 1
+            assert set(blocks) == {1}
+            assert threads == set()
 
     def test_failing_guard_same_for_blocks(self):
         # the test_boundary_leak_raises config on a grid that splits, with
@@ -417,15 +440,15 @@ class TestScheduleLoop:
         with pytest.raises(BoundaryLeakError) as serial:
             evolve_kicked(cfg, initial_state=state, workers=1)
 
-        flight, lagging_flights = propagators._free_flight, []
+        fly, lagging_flights = propagators._fly, []
 
-        def slow_second_block(amps, propagator):
-            if amps.shape[0] == 8:
+        def slow_second_block(rows, propagator):
+            if rows.shape[0] == 8:
                 lagging_flights.append(propagator)
                 time.sleep(0.02)
-            return flight(amps, propagator)
+            fly(rows, propagator)
 
-        monkeypatch.setattr(propagators, "_free_flight", slow_second_block)
+        monkeypatch.setattr(propagators, "_fly", slow_second_block)
         with pytest.raises(BoundaryLeakError) as split:
             evolve_kicked(cfg, initial_state=state, workers=2)
         assert str(split.value) == str(serial.value)
@@ -435,16 +458,16 @@ class TestScheduleLoop:
     def test_error_in_a_block_stops_the_others(self, monkeypatch):
         # on the tick stack of a product state, which splits from 4 live rows
         # on, and on one row per channel
-        flight, other_flights = propagators._free_flight, []
+        fly, other_flights = propagators._fly, []
 
-        def second_block_fails(amps, propagator):
+        def second_block_fails(rows, propagator):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("second block")
             other_flights.append(propagator)
             time.sleep(0.01)
-            return flight(amps, propagator)
+            fly(rows, propagator)
 
-        monkeypatch.setattr(propagators, "_free_flight", second_block_fails)
+        monkeypatch.setattr(propagators, "_fly", second_block_fails)
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
         cfg = _config(grid=grid, mode="kicked", kick_period=0.01, t_final=1.0)
         product = _free_state(grid=grid)[0]
@@ -489,13 +512,13 @@ class TestScheduleLoop:
         state, _, _ = _free_state(grid=grid)
         state = tc.ChannelState(state.clock, grid, 1.001 * state.amplitudes)
         cfg = _config(grid=grid, mode="kicked", kick_period=0.03, t_final=3.0)
-        flight, flights = propagators._free_flight, []
+        fly, flights = propagators._fly, []
 
-        def counted(amps, propagator):
-            flights.append(amps.shape[0])
-            return flight(amps, propagator)
+        def counted(rows, propagator):
+            flights.append(rows.shape[0])
+            fly(rows, propagator)
 
-        monkeypatch.setattr(propagators, "_free_flight", counted)
+        monkeypatch.setattr(propagators, "_fly", counted)
         with pytest.raises(NormDriftError, match=r"at t=0$"):
             evolve_kicked(cfg, initial_state=state, workers=2)
         assert flights == []
@@ -507,13 +530,14 @@ class TestScheduleLoop:
         amps /= math.sqrt(np.sum(np.abs(amps)**2) * grid.dx)
         state = tc.ChannelState(clock, grid, amps)
         region = tc.RegionSpec(-8.0, 8.0)
-        inner, n_edge, dx = grid.region_slice(region), grid.edge_points, grid.dx
+        # the outermost 1 % of 2^9 points: 5 at each edge
+        assert grid.edges == (slice(None, 5), slice(-5, None))
+        inner, dx = grid.region_slice(region), grid.dx
         p = np.abs(amps) ** 2
         norms = np.sum(p, axis=1) * dx
         inside = np.sum(p[:, inner]) * dx
-        edges = (np.sum(p[:, :n_edge]) + np.sum(p[:, -n_edge:])) * dx
-        sums = tc.core.row_sums(amps, slice(None), inner, slice(None, n_edge),
-                                slice(-n_edge, None))
+        edges = (np.sum(p[:, :5]) + np.sum(p[:, -5:])) * dx
+        sums = tc.core.row_sums(amps, slice(None), inner, *grid.edges)
         sample = propagators._sample(0.0, sums, dx)
         assert sample.norm == pytest.approx(np.sum(norms), rel=0, abs=1e-14)
         assert sample.region_mass == pytest.approx(inside, rel=0, abs=1e-14)
@@ -628,7 +652,7 @@ class TestKickClasses:
                             if T in self.CHANNEL_SEGMENTS else [])
         assert _row_flights(cfg) == self.ROW_FLIGHTS[T]
 
-    def test_no_period_gives_identity_classes(self, monkeypatch):
+    def test_continuous_takes_channel_path(self, monkeypatch):
         # the continuous engine propagates one row per channel
         def no_ticks(*args):
             raise AssertionError("the continuous engine took the tick path")
@@ -637,10 +661,10 @@ class TestKickClasses:
         evolve_continuous(_config(t_final=0.1))
 
     @pytest.mark.parametrize("product", [True, False])
-    def test_merges_only_equal_rows(self, product):
-        # omega T / 2 pi = 1/9; only a factored product state takes the tick
-        # path, and a state with one row per channel is bitwise the operator
-        # composition
+    def test_only_equal_weights_take_tick_stack(self, product):
+        # omega T / 2 pi = 1/9; only a factored state with equal weights takes
+        # the tick stack, and a state with one row per channel is bitwise the
+        # operator composition
         cfg = _config(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9),
                       kick_at_zero=True)
         state, _, _ = _free_state()
@@ -709,16 +733,21 @@ class TestKickClasses:
         assert ticks.max_channel_drift == pytest.approx(channels.max_channel_drift,
                                                         rel=0, abs=1e-13)
 
-    def test_workers_do_not_change_result(self, monkeypatch):
-        # 13 kicks grow the stack to 14 rows of 2^14 points: from 4 live rows
-        # on, a flight splits into two blocks, and from 8 on into four
-        monkeypatch.setattr(propagators, "ThreadPoolExecutor", _SpyExecutor)
-        monkeypatch.setattr(_SpyExecutor, "sizes", [])
+    def test_workers_do_not_change_result(self):
+        # 13 kicks grow the stack to 14 rows of 2^14 points, so the 14 flights
+        # carry 1 to 14 live rows: from 4 on, a flight splits into two blocks,
+        # and at four workers into three from 6 on and four from 8 on
         cfg = _config(grid=tc.SpatialGrid(-40.0, 40.0, 2**14), mode="kicked",
                       kick_period=_commensurate_period(0.8, 1, 9), t_final=12.0)
         assert _path(cfg) == (("ticks", 14, 15),)
-        runs = [run_experiment(cfg, workers=w) for w in (1, 2, 4)]
-        assert [size + 1 for size in _SpyExecutor.sizes] == [2, 4]
+        expected = {1: [1] * 14, 2: [1] * 3 + [2] * 11, 4: [1, 1, 1, 2, 2, 3, 3] + [4] * 7}
+        runs = []
+        for workers, blocks_per_flight in expected.items():
+            run, executors, blocks, threads = _spied_run(cfg, workers)
+            assert (executors, blocks) == (1, blocks_per_flight)
+            assert len(threads) <= max(blocks) - 1
+            assert bool(threads) == (workers > 1)
+            runs.append(run)
         for run in runs[1:]:
             np.testing.assert_array_equal(run.final_state.amplitudes,
                                           runs[0].final_state.amplitudes)
@@ -738,8 +767,8 @@ class TestKickClasses:
     @pytest.mark.parametrize("error, overrides, scale", [
         (BoundaryLeakError, dict(t_final=12.0, boundary_mass_tol=1e-6), 1.0),
         (NormDriftError, dict(t_final=3.0), 1.0 + 1e-6),
-    ])
-    def test_guards_same_as_unmerged_run(self, error, overrides, scale):
+    ], ids=["BoundaryLeakError", "NormDriftError"])
+    def test_guards_same_as_channel_path(self, error, overrides, scale):
         # the product state's channels, built by hand as one row each, take
         # the channel path
         grid = tc.SpatialGrid(-40.0, 40.0, 2**14)
@@ -747,11 +776,11 @@ class TestKickClasses:
                       **overrides)
         spec = tc.WavepacketSpec(1.0, -15.0, 5.0)
         product = tc.product_state(scale * tc.init_gaussian(spec, grid), cfg.clock, grid)
-        unmerged = tc.ChannelState(cfg.clock, grid, product.amplitudes.copy())
+        channels = tc.ChannelState(cfg.clock, grid, product.amplitudes.copy())
         assert _path(cfg, product)[0][0] == "ticks"
-        assert _path(cfg, unmerged)[0][:2] == ("channels", 17)
+        assert _path(cfg, channels)[0][:2] == ("channels", 17)
         messages = []
-        for state in (unmerged, product):
+        for state in (channels, product):
             for workers in (1, 2, 4):
                 with pytest.raises(error) as info:
                     evolve_kicked(cfg, initial_state=state, workers=workers)
