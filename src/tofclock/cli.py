@@ -108,6 +108,9 @@ def _write_hashed(path: Path, pieces: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
+_TABLES = ("tof_density.csv", "ideal_dwell.csv")  # a run writes one of them
+
+
 def cmd_run(
     config: ExperimentConfig,
     out_dir: Path,
@@ -132,6 +135,8 @@ def cmd_run(
     else:
         series = analysis.state_tof_distribution(result.final_state)
         data_name = "tof_density.csv"
+    for other in set(_TABLES) - {data_name}:  # a reused run directory keeps one table
+        (out_dir / other).unlink(missing_ok=True)
     manifest: list[tuple[str, str]] = [
         ("label", label or config.mode),
         ("mode", config.mode),
@@ -176,7 +181,7 @@ _PARTNER_BLOCK = 16  # later runs per compare kernel call; bounds its temporarie
 
 
 def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
-    for name in ("tof_density.csv", "ideal_dwell.csv"):
+    for name in _TABLES:
         path = run_dir / name
         if path.exists():
             with warnings.catch_warnings():  # an empty table is reported below

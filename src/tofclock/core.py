@@ -309,22 +309,6 @@ def classical_tof(d: float, p: float, m: float) -> float:
     return m * d / p
 
 
-def modular_phase(
-    n: int, clock: ClockSpec, T: float, hbar: float = 1.0
-) -> tuple[float, float]:
-    """Residual kick phase nu_n in [0, 2*pi) and its energy scale.
-
-    The kick operator multiplies mode n by exp(-i*T*omega*n); only the
-    residue of hbar*omega*n modulo 2*pi*hbar/T perturbs the particle.
-    """
-    if T <= 0:
-        raise ValueError(f"kick period must be positive, got {T}")
-    period_energy = 2.0 * math.pi * hbar / T
-    energy_scale = (hbar * clock.omega * n) % period_energy
-    nu = energy_scale * T / hbar
-    return nu, energy_scale
-
-
 MODES = ("continuous", "kicked", "ideal-reference")
 PLACEMENTS = ("outside", "inside")
 
@@ -382,6 +366,8 @@ class ExperimentConfig:
             if self.kick_period is None:
                 raise ValueError("kicked mode requires kick_period")
             KickSchedule(self.kick_period, self.t_final)  # validates
+        elif self.kick_period is not None and not self.kick_period > 0:
+            raise ValueError(f"kick period must be positive, got {self.kick_period}")
         if self.placement == "outside" and self.packet.p0 > 0:
             if not self.packet.x0 < self.region.x_left:
                 raise ValueError(
@@ -441,7 +427,8 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
 
     Report-only: callers decide whether a violated condition warrants a
     warning or an abort (running a clock outside its regime is a valid
-    experiment).
+    experiment).  A kick multiplies mode n by exp(-i T omega n), so only the
+    residue of hbar*omega*n modulo 2*pi*hbar/T perturbs the particle.
     """
     phys = config.physical
     clock = config.clock
@@ -464,10 +451,8 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
     if T is not None:
         if kick_window is not None:
             kick_in_window = kick_window[0] < T < kick_window[1]
-        scales = [
-            modular_phase(int(n), clock, T, phys.hbar)[1] for n in clock.modes
-        ]
-        max_mod = max(scales)
+        max_mod = float(np.max(phys.hbar * clock.omega * clock.modes
+                               % (2.0 * math.pi * phys.hbar / T)))
         kicked_ok = energy >= DOMINANCE_FACTOR * max_mod if max_mod > 0 else True
 
     return RegimeReport(

@@ -4,8 +4,8 @@ The coupling commutes with the clock angular momentum, so the joint state
 splits into independent channels: channel n sees a rectangular barrier
 (well) of height n*hbar*omega on the coupling region.  The channel loop
 propagates one row per channel, the tick loop a product state's packet rows,
-one per kick count.  A stack that would outgrow the channels hands the state
-to the channel loop at its first flight of as many rows as channels.  Both
+one per kick count.  A stack that would outgrow the channels stops at its
+first flight of as many rows as channels, where the channel loop goes on.  Both
 loops split their rows into blocks, fly them with `_fly` through
 `_each_block` on one pool a run, and guard the grid's `edges`.
 """
@@ -16,7 +16,7 @@ import math
 import os
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -111,7 +111,7 @@ class DiagnosticSample:
 @dataclass
 class Trajectory:
     final_state: ChannelState
-    diagnostics: list[DiagnosticSample] = field(default_factory=list)
+    diagnostics: list[DiagnosticSample]
 
 
 def _initial_state(config: ExperimentConfig) -> ChannelState:
@@ -194,19 +194,19 @@ def _run_schedule(
     check_every: int,
     workers: int,
     pool: ThreadPoolExecutor,
-    start: int,
-) -> list[DiagnosticSample]:
-    """The channel path of both engines; evolves `amps` in place.
+    diagnostics: list[DiagnosticSample],
+) -> None:
+    """The channel path of both engines; evolves `amps` in place and appends
+    its guard samples to `diagnostics`, the run's so far.
 
     Row i of `amps` is the channel of mode `clock.modes[i]`.  For each
     (flight, phase) segment: an exact free flight of duration `flight`
     (none when it is 0) followed by the coupling accrued over `phase` (none
-    when it is 0).  The first segment, (0, phase), couples before any
-    flight.  Guards run on the initial state, every `check_every` segments
-    after the first and after the last one.  From `start` > 0 on, the
-    segments before it have run, with their guards, on the tick stack:
-    their flights, added in order, give the time to go on from, and the
-    initial state is not checked again.
+    when it is 0).  A run's first segment, (0, phase), couples before any
+    flight.  The run goes on from the time of the last sample; with none,
+    from t = 0 with a check of the initial state.  Guards run after every
+    `check_every`-th segment that has a flight, counted from 0, and after
+    the last one.
 
     The channels never mix, so the rows are split into up to `workers`
     contiguous blocks (views of one array); a small state stays in one
@@ -224,14 +224,12 @@ def _run_schedule(
         phase: np.array_split(_coupling_phases(clock.modes, clock.omega, phase), k)
         for phase in {phase for _, phase in segments} if phase
     }
-    # the steps between guard checks; the first check is on the initial state
-    t, intervals, pending = 0.0, [] if start else [[]], []
+    # the steps between guard checks; an empty one checks the initial state
+    t = diagnostics[-1].t if diagnostics else 0.0
+    intervals, pending = [] if diagnostics else [[]], []
     for i, segment in enumerate(segments):
-        if i < start:
-            t += segment[0]
-            continue
         pending.append(segment)
-        if i and (i % check_every == 0 or i == len(segments) - 1):
+        if segment[0] and i % check_every == 0 or i == len(segments) - 1:
             intervals.append(pending)
             pending = []
 
@@ -244,55 +242,29 @@ def _run_schedule(
                 _couple(block, phases[phase][b], region)
         return row_sums(block, slice(None), region, *grid.edges)
 
-    diagnostics = []
     for interval in intervals:
         sums = np.concatenate(_each_block(pool, lambda b: advance(b, interval), k), axis=1)
         for flight, _ in interval:
             t += flight
         diagnostics.append(_check_guards(config, _sample(t, sums, grid.dx)))
-    return diagnostics
-
-
-def _tick_rows(
-    period: float | None,
-    segments: list[tuple[float, float]],
-    state: ChannelState,
-) -> tuple[int, int] | None:
-    """Rows of the tick stack for a run kicked with `period`, and how many
-    of `segments` it runs; None when the run takes the channel path from the
-    start.
-
-    Channel n is sum_m z_n^m Phi_m, Phi_m the packet inside for exactly m
-    kicks, when every channel starts as the same packet: one row with equal
-    weights, as `product_state` builds.  The stack has k + 1 live rows after
-    k kicks.  One that would grow past 2j+1 rows hands over to the channel
-    loop at its first flight of 2j+1 rows, as one row per channel costs no
-    more from there on; any other runs every segment.
-    """
-    w = state.weights
-    if period is None or w is None or w.shape[1] != 1 or not (w == w[0, 0]).all():
-        return None
-    n_modes, rows = state.clock.n_modes, 1 + sum(1 for _, phase in segments if phase)
-    live = 1
-    for i, (flight, phase) in enumerate(segments):
-        if flight and live >= n_modes and rows > n_modes:
-            return live, i
-        if phase:
-            live += 1
-    return live, len(segments)
 
 
 def _run_ticks(
     config: ExperimentConfig,
     state: ChannelState,
-    rows: int,
     segments: list[tuple[float, float]],
     workers: int,
     pool: ThreadPoolExecutor,
-) -> Trajectory:
-    """The tick path of `evolve_kicked` from the product `state`: a stack of
-    `rows` rows, one per reading, that ends as the state with weights
-    `clock_phases[n, m]` = z_n^m, z_n = exp(-i n omega kick_period).
+) -> tuple[ChannelState, list[DiagnosticSample], int]:
+    """The tick path of `evolve_kicked` from the product `state`: the state
+    it reaches, its guard samples and how many of `segments` it ran.
+
+    Channel n is sum_m z_n^m Phi_m, z_n = exp(-i n omega kick_period), with
+    Phi_m the packet inside for exactly m kicks, when every channel starts as
+    one packet.  The stack holds Phi_0 .. Phi_k after k kicks and ends as the
+    state with weights `clock_phases[n, m]` = z_n^m; a run of 2j+1 kicks or
+    more stops at its first flight of 2j+1 rows instead, from where one row
+    per channel costs no more.
 
     Row 0 starts as the packet every channel starts as, the others as zeros.
     A flight propagates the live rows, split into blocks by the channel
@@ -306,6 +278,8 @@ def _run_ticks(
     """
     grid, clock, n_modes = config.grid, config.clock, config.clock.n_modes
     region, dx = grid.region_slice(config.region), grid.dx
+    kicks = sum(1 for _, phase in segments if phase)
+    rows = min(1 + kicks, n_modes)
     stack = np.zeros((rows, grid.num_points), dtype=complex)
     stack[0] = state.weights[0, 0] * state.rows[0]
     clock_phases = np.exp(-1j * clock.omega * config.kick_period
@@ -328,9 +302,12 @@ def _run_ticks(
             region_mass=mass(phi[:, region]), boundary_mass=mass(edges),
         ))
 
-    t, diagnostics = 0.0, [sample(0.0)]
+    t, diagnostics, ran = 0.0, [sample(0.0)], len(segments)
     for i, (flight, phase) in enumerate(segments):
         if flight:
+            if live == n_modes <= kicks:  # the hand-over
+                ran = i
+                break
             blocks = np.array_split(
                 stack[:live], _block_count(workers, live, grid.num_points))
             _each_block(pool, lambda b: _fly(blocks[b], flights[flight]), len(blocks))
@@ -341,7 +318,7 @@ def _run_ticks(
             stack[0, region] = 0
         if i:
             diagnostics.append(sample(t))
-    return Trajectory(ChannelState(clock, grid, stack, clock_phases), diagnostics)
+    return ChannelState(clock, grid, stack, clock_phases), diagnostics, ran
 
 
 def _evolve(
@@ -352,28 +329,27 @@ def _evolve(
     check_every: int,
     workers: int | None,
 ) -> Trajectory:
-    """Runs `segments` on the tick stack as far as `_tick_rows` allows
-    (every phase being `period`, and a guard check after every segment, as
-    `evolve_kicked` asks), and the rest on one row per channel: a stack that
-    stops short of the last segment is expanded to the channels once, and
-    the channel loop goes on from there on the same pool.  The pool may
-    have a thread for every worker but the calling one; threads start only
-    as blocks are handed to it, so a state too small to split starts none."""
+    """Runs `segments` on the tick stack as far as `_run_ticks` goes, from a
+    product state (one row, equal weights) of a clock of more than one mode
+    kicked with `period`; the channel loop continues the run on one row per
+    channel, expanded once, on the same pool.  A one-mode clock has one
+    channel, which no stack undercuts.  The pool may have a thread for every
+    worker but the calling one; threads start only as blocks are handed to
+    it, so a state too small to split starts none."""
     state = initial_state if initial_state is not None else _initial_state(config)
     workers = resolve_workers(workers)
-    rows, start = _tick_rows(period, segments, state) or (state.clock.n_modes, 0)
+    w = state.weights
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        diagnostics = []
-        if start:
-            traj = _run_ticks(config, state, rows, segments[:start], workers, pool)
-            if start == len(segments):
-                return traj
-            state, diagnostics = traj.final_state, traj.diagnostics
-            del traj  # the stack goes with `state` once it is expanded
+        diagnostics, ran = [], 0
+        if (period is not None and state.clock.n_modes > 1 and w is not None
+                and w.shape[1] == 1 and (w == w[0, 0]).all()):
+            state, diagnostics, ran = _run_ticks(config, state, segments, workers, pool)
+            if ran == len(segments):
+                return Trajectory(state, diagnostics)
         # the expansion of a factored state is a new array already
         amps = state.rows.copy() if state.weights is None else state.weights @ state.rows
         state = ChannelState(state.clock, state.grid, amps)
-        diagnostics += _run_schedule(config, amps, segments, check_every, workers, pool, start)
+        _run_schedule(config, amps, segments[ran:], check_every, workers, pool, diagnostics)
     return Trajectory(state, diagnostics)
 
 

@@ -388,6 +388,24 @@ class TestCmdCompare:
         line = (out / "distances.csv").read_text().splitlines()[1]
         assert line.endswith(",0,0")
 
+    @pytest.mark.parametrize("first, second", [
+        ("kicked", "ideal-reference"), ("ideal-reference", "kicked"),
+    ])
+    def test_reused_run_directory_holds_one_table(self, tmp_path, first, second):
+        # a run into another mode's run directory leaves its own table only,
+        # so compare reads that run and not the stale one
+        def config(mode):
+            return _small_config(mode=mode, kick_period=0.5 if mode == "kicked" else None)
+
+        reused = cmd_run(config(first), tmp_path / "reused")
+        cmd_run(config(second), reused)
+        fresh = cmd_run(config(second), tmp_path / "fresh")
+        tables = [path.name for path in reused.glob("*.csv")]
+        assert tables == [path.name for path in fresh.glob("*.csv")]
+        assert len(tables) == 1
+        out = cmd_compare([reused, fresh], tmp_path / "cmp")
+        assert (out / "distances.csv").read_text().splitlines()[1].endswith(",0,0")
+
     def test_needs_two_runs(self, tmp_path):
         a = cmd_run(_small_config(), tmp_path / "a")
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tofclock as tc
-from tofclock.core import DOMINANCE_FACTOR, KickSchedule, modular_phase, validate_regime
+from tofclock.core import DOMINANCE_FACTOR, KickSchedule, validate_regime
 from tofclock.presets import get_preset
 
 
@@ -215,38 +215,6 @@ class TestKinematics:
         with pytest.raises(ValueError):
             tc.classical_tof(50.0, -5.0, 1.0)
 
-    def test_modular_phase_zero_mode(self):
-        clock = tc.ClockSpec(1.0, 5)
-        nu, scale = modular_phase(0, clock, 1.0)
-        assert nu == 0.0 and scale == 0.0
-
-    def test_modular_phase_examples(self):
-        # [DERIVED] omega=1, T=pi: residue period is 2*pi/T = 2, so the
-        # energy scale is n mod 2
-        clock = tc.ClockSpec(1.0, 5)
-        nu, scale = modular_phase(5, clock, math.pi)
-        # 5 mod 2 = 1 -> scale 1, nu = scale*T = pi
-        assert scale == pytest.approx(1.0, rel=1e-12)
-        assert nu == pytest.approx(math.pi, rel=1e-12)
-        nu_neg, scale_neg = modular_phase(-3, clock, math.pi)
-        # -3 mod 2 = 1 (Python residue is nonnegative)
-        assert scale_neg == pytest.approx(1.0, rel=1e-12)
-        assert nu_neg == pytest.approx(math.pi, rel=1e-12)
-
-    def test_modular_phase_range(self):
-        clock = tc.ClockSpec(0.7, 20)
-        for n in (-20, -7, -1, 1, 13, 20):
-            nu, scale = modular_phase(n, clock, 0.9)
-            assert 0.0 <= nu < 2.0 * math.pi
-            assert 0.0 <= scale < 2.0 * math.pi / 0.9
-            # residue identity: scale differs from omega*n by a multiple of 2*pi/T
-            diff = (clock.omega * n - scale) / (2.0 * math.pi / 0.9)
-            assert diff == pytest.approx(round(diff), abs=1e-9)
-
-    def test_modular_phase_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            modular_phase(1, tc.ClockSpec(1.0, 1), 0.0)
-
 
 def _fig1_config(**overrides):
     kwargs = dict(
@@ -285,6 +253,10 @@ class TestExperimentConfig:
             _fig1_config(mode="kicked", kick_period=30.0)
         with pytest.raises(ValueError):
             _fig1_config(mode="kicked", kick_period=0.0)
+        # a period the regime check reads, on any mode
+        for T in (0.0, -1.0):
+            with pytest.raises(ValueError, match="kick period must be positive"):
+                _fig1_config(kick_period=T)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -380,14 +352,36 @@ class TestRegimeReport:
         assert report.kick_in_window is False
 
     def test_kicked_energy_condition(self):
-        # T = tau*N/j * 2 = 1: max modular scale is small vs E
-        cfg = _fig1_config(mode="kicked", kick_period=1.0)
-        report = validate_regime(cfg)
-        assert report.max_modular_energy is not None
-        assert report.max_modular_energy < 2.0 * math.pi / 1.0
-        assert report.kicked_ok == (
-            report.energy >= DOMINANCE_FACTOR * report.max_modular_energy
-        )
+        # the largest residue of hbar*omega*n modulo 2*pi*hbar/T over the
+        # modes n = -j..j, as (omega, j, T, residue or None)
+        cases = [
+            # T = tau*N/j * 2 = 1: max modular scale is small vs E
+            (2.0 * math.pi / 25.0, 50, 1.0, None),
+            # a one-mode clock's mode is n = 0
+            (1.0, 0, 1.0, 0.0),
+            # [DERIVED] residue period 2*pi/T = 2, so the residue is n mod 2
+            (1.0, 5, math.pi, 1.0),
+            # negative n wrap up: n = -1 gives 2 - 0.1, n = 1 only 0.1
+            (0.1, 1, math.pi, 1.9),
+            (0.7, 20, 0.9, None),
+        ]
+        for omega, j, T, expected in cases:
+            cfg = _fig1_config(mode="kicked", clock=tc.ClockSpec(omega, j), kick_period=T)
+            report = validate_regime(cfg)
+            residue_period = 2.0 * math.pi / T
+            assert 0.0 <= report.max_modular_energy < residue_period
+            if expected is not None:
+                assert report.max_modular_energy == pytest.approx(expected, rel=1e-12)
+            # bitwise the largest of the modes' residues taken one by one
+            assert report.max_modular_energy == max(
+                (omega * int(n)) % residue_period for n in cfg.clock.modes)
+            # the residue of some omega*n: they differ by a multiple of 2*pi/T
+            diff = (omega * cfg.clock.modes - report.max_modular_energy) / residue_period
+            assert np.min(np.abs(diff - np.round(diff))) < 1e-9
+            assert report.kicked_ok == (
+                report.max_modular_energy == 0
+                or report.energy >= DOMINANCE_FACTOR * report.max_modular_energy
+            )
 
     def test_degenerate_clock(self):
         report = validate_regime(_fig1_config(clock=tc.ClockSpec(2.0 * math.pi / 25.0, 0)))

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tofclock as tc
 from tofclock import analysis, oracles, propagators
@@ -66,20 +66,22 @@ def _row_flights(cfg):
 def _path(cfg, state=None):
     """The loops evolve_kicked runs for `cfg` and `state`, in order, each as
     ("ticks", stack rows, segments) or ("channels", rows, segments), found
-    without propagating anything or making a pool."""
-    legs = []
+    with the flights skipped, the guards passed and no channel loop run."""
+    legs, run_ticks = [], propagators._run_ticks
 
-    def ticks(config, state, rows, segments, workers, pool):
-        legs.append(("ticks", rows, len(segments)))
-        return propagators.Trajectory(state)
+    def ticks(*args):
+        final, diagnostics, ran = run_ticks(*args)
+        legs.append(("ticks", final.rows.shape[0], ran))
+        return final, diagnostics, ran
 
-    def channels(config, amps, segments, check_every, workers, pool, start):
-        legs.append(("channels", amps.shape[0], len(segments) - start))
-        return []
+    def channels(config, amps, segments, *args):
+        legs.append(("channels", amps.shape[0], len(segments)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagators, "_run_ticks", ticks)
         mp.setattr(propagators, "_run_schedule", channels)
+        mp.setattr(propagators, "_fly", lambda rows, propagator: None)
+        mp.setattr(propagators, "_check_guards", lambda config, sample: sample)
         evolve_kicked(cfg, initial_state=state, workers=1)
     return tuple(legs)
 
@@ -630,9 +632,19 @@ def _random_tick_runs(draw):
     return cfg, commensurate
 
 
+def _one_mode_run(kick_at_zero):
+    """A kicked product-state config of a one-mode (j = 0) clock, whose 7
+    kicks would outgrow its one channel, as (config, commensurate) like
+    `_random_tick_runs`."""
+    cfg = _config(clock=tc.ClockSpec(0.8, 0), grid=tc.SpatialGrid(-40.0, 40.0, 2**8),
+                  mode="kicked", t_final=3.0, kick_period=0.4, kick_at_zero=kick_at_zero)
+    return cfg, False
+
+
 class TestKickClasses:
     """Which rows a kicked run propagates: the tick stack of a product
-    state, up to 2j+1 rows, and one row per channel otherwise."""
+    state of a clock of more than one mode, up to 2j+1 rows, and one row per
+    channel otherwise."""
 
     # the rows of each run's stack, one per kick count, and its row-flights.
     # T0.1 and T0.2 reach 101 live rows at t=10 and t=20 and fly the rest on
@@ -695,24 +707,30 @@ class TestKickClasses:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_random_tick_runs())
+    @example(_one_mode_run(kick_at_zero=False))
+    @example(_one_mode_run(kick_at_zero=True))
     def test_random_configs_diagnostics_match_channel_path(self, run):
         # a commensurate run kicks past one clock period, where readings a
         # whole period apart coincide; the clock marginal is the theta-grid
         # oracle's all the same
         cfg, commensurate = run
         loops = [leg[0] for leg in _path(cfg)]
-        assert loops in (["ticks"], ["ticks", "channels"])
+        if cfg.clock.j == 0:  # one channel, which no stack undercuts
+            assert loops == ["channels"]
+        else:
+            assert loops in (["ticks"], ["ticks", "channels"])
         if commensurate:
             assert cfg.kick_schedule.n_kicks * cfg.kick_period > cfg.clock.period
         ticks = run_experiment(cfg)
         # read from the factors unless the channel loop took over
-        assert (ticks.final_state.weights is None) == (len(loops) == 2)
+        assert (ticks.final_state.weights is None) == (loops[-1] == "channels")
         _, density = analysis.theta_distribution(ticks.final_state, 64)
         np.testing.assert_allclose(density[:-1],
                                    oracles.evolve_theta_grid(cfg, 64).theta_marginal(),
                                    rtol=0, atol=1e-10)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(propagators, "_tick_rows", lambda *args: None)
+            # a tick loop that runs no segment leaves the run to the channels
+            mp.setattr(propagators, "_run_ticks", lambda config, state, *args: (state, [], 0))
             channels = run_experiment(cfg)
         assert channels.final_state.weights is None
         assert len(ticks.diagnostics) == len(channels.diagnostics)
