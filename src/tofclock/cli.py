@@ -69,13 +69,10 @@ def regime_warnings(config: ExperimentConfig, report: RegimeReport) -> list[str]
         warnings.append(
             "continuous clock outside its validity regime (E is not >> pi*hbar/tau)"
         )
-    if config.mode == "kicked":
-        if report.kick_in_window is False:
-            warnings.append("kick period outside the working window")
-        if report.kicked_ok is False:
-            warnings.append(
-                "kicked clock disturbance not negligible (E not >> max kick scale)"
-            )
+    if report.kick_in_window is False:
+        warnings.append("kick period outside the working window")
+    if report.kicked_ok is False:
+        warnings.append("kicked clock disturbance not negligible (E not >> max kick scale)")
     if not report.max_time_ok:
         warnings.append("classical time of flight exceeds the clock period")
     if report.degenerate_clock:

@@ -18,6 +18,7 @@ DOMINANCE_FACTOR = 10.0
 NEG_MOMENTUM_MAX = 1e-6
 # a packet starts more than this many spreads from either grid edge, in x and in p
 _SUPPORT_MARGIN = 8.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _require_finite(spec) -> None:
@@ -255,14 +256,8 @@ class ChannelState:
         return float(self.overlaps(*self.grid.edges, diagonal=True).sum())
 
 
-def init_gaussian(
-    spec: WavepacketSpec, grid: SpatialGrid, hbar: float = 1.0
-) -> np.ndarray:
-    """Normalized Gaussian amplitude exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
-
-    Normalization is discrete: sum |psi|^2 dx = 1.  The packet must lie
-    more than `_SUPPORT_MARGIN` spreads inside the grid, in x and in p.
-    """
+def _require_packet_fits(spec: WavepacketSpec, grid: SpatialGrid, hbar: float) -> None:
+    """The packet lies more than `_SUPPORT_MARGIN` spreads inside the grid in x and p."""
     if spec.x0 - grid.x_min <= _SUPPORT_MARGIN * spec.sigma:
         raise ValueError(
             f"packet too close to left grid edge: x0={spec.x0}, "
@@ -280,6 +275,17 @@ def init_gaussian(
             f"packet momentum |p0| + {_SUPPORT_MARGIN:g} sigma_p = {p_max:.6g} is not "
             f"below the grid's largest momentum pi*hbar/dx = {nyquist:.6g}"
         )
+
+
+def init_gaussian(
+    spec: WavepacketSpec, grid: SpatialGrid, hbar: float = 1.0
+) -> np.ndarray:
+    """Normalized Gaussian amplitude exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
+
+    Normalization is discrete: sum |psi|^2 dx = 1.  The packet must fit the
+    grid, as `_require_packet_fits` checks.
+    """
+    _require_packet_fits(spec, grid, hbar)
     x = grid.x
     psi = np.exp(
         -((x - spec.x0) ** 2) / (4.0 * spec.sigma**2) + 1j * spec.p0 * x / hbar
@@ -320,13 +326,6 @@ class KickSchedule:
     period: float
     t_final: float
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not 0 < self.period <= self.t_final:
-            raise ValueError(
-                f"need 0 < T <= t_final, got T={self.period}, t_final={self.t_final}"
-            )
-
     @property
     def n_kicks(self) -> int:
         return int(math.floor(self.t_final / self.period + 1e-12))
@@ -334,7 +333,8 @@ class KickSchedule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of a single time-of-flight experiment."""
+    """Full description of a single time-of-flight experiment.  Building one
+    makes every check a run needs of it; the code after it trusts that."""
 
     physical: PhysicalConfig
     region: RegionSpec
@@ -365,9 +365,16 @@ class ExperimentConfig:
         if self.mode == "kicked":
             if self.kick_period is None:
                 raise ValueError("kicked mode requires kick_period")
-            KickSchedule(self.kick_period, self.t_final)  # validates
-        elif self.kick_period is not None and not self.kick_period > 0:
-            raise ValueError(f"kick period must be positive, got {self.kick_period}")
+            if not 0 < self.kick_period <= self.t_final:
+                raise ValueError(f"need 0 < T <= t_final, got T={self.kick_period}, "
+                                 f"t_final={self.t_final}")
+        elif self.kick_period is not None or self.kick_at_zero:
+            key = "kick_period" if self.kick_period is not None else "kick_at_zero"
+            raise ValueError(f"{key} is for mode 'kicked' only, not {self.mode!r}")
+        for key in ("region_mass_tol", "boundary_mass_tol"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        _require_packet_fits(self.packet, self.grid, self.physical.hbar)
         if self.placement == "outside" and self.packet.p0 > 0:
             if not self.packet.x0 < self.region.x_left:
                 raise ValueError(
@@ -390,9 +397,8 @@ class ExperimentConfig:
 
     @property
     def kick_schedule(self) -> KickSchedule | None:
-        if self.kick_period is None:
-            return None
-        return KickSchedule(self.kick_period, self.t_final)
+        if self.mode == "kicked":
+            return KickSchedule(self.kick_period, self.t_final)
 
     @property
     def classical_time(self) -> float:
@@ -451,8 +457,14 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
     if T is not None:
         if kick_window is not None:
             kick_in_window = kick_window[0] < T < kick_window[1]
-        max_mod = float(np.max(phys.hbar * clock.omega * clock.modes
-                               % (2.0 * math.pi * phys.hbar / T)))
+        energies = phys.hbar * clock.omega * clock.modes
+        modulus = 2.0 * math.pi * phys.hbar / T
+        residues = energies % modulus
+        # a mode a whole number of turns round has residue 0, but roundings in
+        # omega, T, the energies and the modulus (2 eps relative each) can leave
+        # it up to 4 eps (|energy| + modulus) below the modulus (fig1: 0.64 eps)
+        residues[modulus - residues <= 4 * _EPS * (np.abs(energies) + modulus)] = 0
+        max_mod = float(residues.max())
         kicked_ok = energy >= DOMINANCE_FACTOR * max_mod if max_mod > 0 else True
 
     return RegimeReport(

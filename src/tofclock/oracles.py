@@ -283,8 +283,6 @@ def evolve_theta_grid(
             psi = coupling(psi, 0.5 * dt)
     elif config.mode == "kicked":
         schedule = config.kick_schedule
-        if schedule is None:
-            raise ValueError("kicked mode requires a kick schedule")
         T = schedule.period
         if config.kick_at_zero:
             psi = coupling(psi, T)

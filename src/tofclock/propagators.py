@@ -324,24 +324,23 @@ def _run_ticks(
 def _evolve(
     config: ExperimentConfig,
     initial_state: ChannelState | None,
-    period: float | None,
     segments: list[tuple[float, float]],
     check_every: int,
     workers: int | None,
 ) -> Trajectory:
     """Runs `segments` on the tick stack as far as `_run_ticks` goes, from a
-    product state (one row, equal weights) of a clock of more than one mode
-    kicked with `period`; the channel loop continues the run on one row per
-    channel, expanded once, on the same pool.  A one-mode clock has one
-    channel, which no stack undercuts.  The pool may have a thread for every
-    worker but the calling one; threads start only as blocks are handed to
-    it, so a state too small to split starts none."""
+    product state (one row, equal weights) of a kicked clock of more than one
+    mode; the channel loop continues the run on one row per channel, expanded
+    once, on the same pool.  A one-mode clock has one channel, which no stack
+    undercuts.  The pool may have a thread for every worker but the calling
+    one; threads start only as blocks are handed to it, so a state too small
+    to split starts none."""
     state = initial_state if initial_state is not None else _initial_state(config)
     workers = resolve_workers(workers)
     w = state.weights
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         diagnostics, ran = [], 0
-        if (period is not None and state.clock.n_modes > 1 and w is not None
+        if (config.mode == "kicked" and state.clock.n_modes > 1 and w is not None
                 and w.shape[1] == 1 and (w == w[0, 0]).all()):
             state, diagnostics, ran = _run_ticks(config, state, segments, workers, pool)
             if ran == len(segments):
@@ -365,13 +364,14 @@ def evolve_continuous(
     are merged into full phases, so this is a kicked schedule with T = dt
     and half kicks at both ends, run on one row per channel.
     """
+    if config.mode != "continuous":
+        raise ValueError(f"evolve_continuous needs mode 'continuous', not {config.mode!r}")
     n_steps = max(1, math.ceil(config.t_final / config.dt - 1e-12))
     dt = config.t_final / n_steps
     # mid-run guard samples carry the next step's leading half phase, which
     # does not affect any of the |.|^2 diagnostics
     segments = [(0.0, 0.5 * dt)] + [(dt, dt)] * (n_steps - 1) + [(dt, 0.5 * dt)]
-    return _evolve(config, initial_state, None, segments,
-                   max(1, n_steps // _SNAPSHOTS), workers)
+    return _evolve(config, initial_state, segments, max(1, n_steps // _SNAPSHOTS), workers)
 
 
 def evolve_kicked(
@@ -388,15 +388,15 @@ def evolve_kicked(
     keeps the clock phases as weights; a stack that would outgrow the 2j+1
     channels runs on them from its first flight of 2j+1 rows.
     """
+    if config.mode != "kicked":
+        raise ValueError(f"evolve_kicked needs mode 'kicked', not {config.mode!r}")
     schedule = config.kick_schedule
-    if schedule is None:
-        raise ValueError("kicked evolution requires a kick schedule")
     T = schedule.period
     segments = [(0.0, T if config.kick_at_zero else 0.0)] + [(T, T)] * schedule.n_kicks
     remainder = config.t_final - schedule.n_kicks * T
     if remainder > 1e-12 * config.t_final:
         segments.append((remainder, 0.0))
-    return _evolve(config, initial_state, T, segments, 1, workers)
+    return _evolve(config, initial_state, segments, 1, workers)
 
 
 @dataclass

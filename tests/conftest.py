@@ -1,7 +1,6 @@
 import dataclasses
 import time
 
-import numpy as np
 import pytest
 
 import tofclock as tc
@@ -10,21 +9,6 @@ from tofclock.presets import get_preset
 from tofclock.propagators import run_experiment
 
 ACCEPTANCE_GRID = tc.SpatialGrid(-250.0, 150.0, 2**12)
-
-
-@pytest.fixture(scope="session")
-def small_base():
-    """Cheap but nontrivial scattering setup shared by fast tests."""
-    return dict(
-        physical=tc.PhysicalConfig(),
-        region=tc.RegionSpec(-8.0, 8.0),
-        clock=tc.ClockSpec(0.8, 8),
-        packet=tc.WavepacketSpec(1.0, -15.0, 5.0),
-        grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
-        t_final=5.0,
-        region_mass_tol=1.0,
-        boundary_mass_tol=1.0,
-    )
 
 
 @pytest.fixture(scope="session")

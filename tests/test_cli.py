@@ -139,26 +139,30 @@ def _configs(draw, mode, placement):
     else:
         x0 = x_left + draw(f(0.01, 0.99)) * width
     t_final = draw(f(0.5, 100.0))
-    if mode == "kicked":
-        kick_period = draw(f(0.01, 1.0)) * t_final
-    else:
-        kick_period = draw(st.none() | f(0.01, 10.0))
+    kicked = mode == "kicked"
+    physical = tc.PhysicalConfig(draw(f(0.1, 10.0)), draw(f(0.5, 2.0)))
+    # p0 / momentum_std >= 5: negative-momentum weight below 3e-7
+    packet = tc.WavepacketSpec(draw(f(0.5, 3.0)), x0, draw(f(10.0, 40.0)))
+    # the packet lies more than 8 spreads inside the grid, in x and in p
+    margin = 8.0 * packet.sigma
+    x_min = min(x_left, x0 - margin) - draw(f(1.0, 450.0))
+    x_max = max(x_left + width, x0 + margin) + draw(f(1.0, 450.0))
+    p_max = packet.p0 + 8.0 * packet.momentum_std(physical.hbar)
+    fit = math.ceil(math.log2((x_max - x_min) * p_max / (math.pi * physical.hbar)))
     return tc.ExperimentConfig(
-        physical=tc.PhysicalConfig(draw(f(0.1, 10.0)), draw(f(0.5, 2.0))),
+        physical=physical,
         region=region,
         clock=tc.ClockSpec(draw(f(0.01, 10.0)), draw(st.integers(0, 60))),
-        # p0 / momentum_std >= 5: negative-momentum weight below 3e-7
-        packet=tc.WavepacketSpec(draw(f(0.5, 3.0)), x0, draw(f(10.0, 40.0))),
-        grid=tc.SpatialGrid(draw(f(-500.0, -50.0)), draw(f(50.0, 500.0)),
-                            2 ** draw(st.integers(3, 14))),
+        packet=packet,
+        grid=tc.SpatialGrid(x_min, x_max, 2 ** draw(st.integers(fit + 1, fit + 3))),
         mode=mode,
         t_final=t_final,
         placement=placement,
         dt=draw(st.none() | f(1e-4, 1.0)),
-        kick_period=kick_period,
-        kick_at_zero=draw(st.booleans()),
-        region_mass_tol=draw(f(1e-8, 1.0)),
-        boundary_mass_tol=draw(f(1e-8, 1.0)),
+        kick_period=draw(f(0.01, 1.0)) * t_final if kicked else None,
+        kick_at_zero=kicked and draw(st.booleans()),
+        region_mass_tol=draw(f(0.0, 1.0)),
+        boundary_mass_tol=draw(f(0.0, 1.0)),
     )
 
 
@@ -225,6 +229,16 @@ class TestRegimeText:
         assert any("outside its validity regime" in w for w in warnings)
         fast = get_preset("fig1-high-energy")
         assert regime_warnings(fast, validate_regime(fast)) == []
+        # T = 20 lies past t_f = 10, and at T = 1 the largest kick residue,
+        # 6.03, is not << E = 12.5; T = 5's, 1.005, is
+        late = dataclasses.replace(get_preset("fig1-kicked-T1"), kick_period=20.0)
+        assert regime_warnings(late, validate_regime(late)) == [
+            "kick period outside the working window"]
+        for name, expected in (("fig1-kicked-T1", [
+                "kicked clock disturbance not negligible (E not >> max kick scale)"]),
+                ("fig1-kicked-T5", [])):
+            cfg = get_preset(name)
+            assert regime_warnings(cfg, validate_regime(cfg)) == expected
 
 
 def _per_value_csv(header, columns):
@@ -488,6 +502,17 @@ class TestCmdCompare:
         assert not out.exists()
 
 
+def _edited_preset(name: str, **values: str) -> str:
+    """A preset's config text with each `key = value` line set, or added
+    to [run]: a config file that may not build."""
+    text = emit_config(get_preset(name))
+    for key, value in values.items():
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        if not found:
+            text = text.replace("[run]\n", f"[run]\n{key} = {value}\n")
+    return text
+
+
 def _without_wall_time(manifest: bytes) -> bytes:
     return b"".join(line for line in manifest.splitlines(keepends=True)
                     if not line.startswith(b"wall_time_s = "))
@@ -579,17 +604,42 @@ class TestMain:
 
     def test_unresolved_packet_exits_two(self, tmp_path, capsys):
         # p0 = 40 at 2^12 points: the packet's momenta reach past pi hbar/dx
-        cfg = get_preset("fig1-high-energy")
-        cfg = dataclasses.replace(
-            cfg, packet=dataclasses.replace(cfg.packet, p0=40.0),
-            grid=dataclasses.replace(cfg.grid, num_points=2**12))
+        text = _edited_preset("fig1-high-energy", p0="40", num_points="4096")
         path = tmp_path / "exp.cfg"
-        path.write_text(emit_config(cfg), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "sigma_p = 44 is not below the grid's largest momentum " in err
         assert "pi*hbar/dx = 32.1699" in err
+        assert not out.exists()
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("preset, edits, message", [
+        ("fig1-ideal", dict(kick_period="30"),
+         "kick_period is for mode 'kicked' only, not 'ideal-reference'"),
+        ("fig1-continuous", dict(kick_period="1", kick_at_zero="true"),
+         "kick_period is for mode 'kicked' only, not 'continuous'"),
+        ("fig1-kicked-T5", dict(num_points="2048", boundary_mass_tol="-1"),
+         "boundary_mass_tol must be >= 0, got -1.0"),
+    ], ids=["ideal-kick-period", "continuous-kicks", "negative-tol"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, monkeypatch,
+                                               preset, edits, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(_edited_preset(preset, **edits), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid configuration: {message}\n"
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated a config that validate rejects")
+
+        monkeypatch.setattr("tofclock.cli.run_experiment", no_run)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--theta-points", "2048"], ["--kick-at-zero"]])

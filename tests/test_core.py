@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tofclock as tc
-from tofclock.core import DOMINANCE_FACTOR, KickSchedule, validate_regime
+from tofclock.core import DOMINANCE_FACTOR, validate_regime
 from tofclock.presets import get_preset
 
 
@@ -222,7 +222,9 @@ def _fig1_config(**overrides):
         region=tc.RegionSpec(-25.0, 25.0),
         clock=tc.ClockSpec(2.0 * math.pi / 25.0, 50),
         packet=tc.WavepacketSpec(1.0, -30.0, 5.0),
-        grid=tc.SpatialGrid(-250.0, 150.0, 2**10),
+        # 2^11 points: the packet's momenta, up to p0 + 8 sigma_p = 9, stay
+        # below pi hbar/dx = 16.1
+        grid=tc.SpatialGrid(-250.0, 150.0, 2**11),
         mode="continuous",
         t_final=25.0,
     )
@@ -249,14 +251,35 @@ class TestExperimentConfig:
         assert (sched.period, sched.n_kicks) == (1.0, 25)
 
     def test_kick_period_must_fit(self):
-        with pytest.raises(ValueError):
-            _fig1_config(mode="kicked", kick_period=30.0)
-        with pytest.raises(ValueError):
-            _fig1_config(mode="kicked", kick_period=0.0)
-        # a period the regime check reads, on any mode
-        for T in (0.0, -1.0):
-            with pytest.raises(ValueError, match="kick period must be positive"):
-                _fig1_config(kick_period=T)
+        for T in (30.0, 0.0, -1.0):
+            with pytest.raises(ValueError, match=rf"^need 0 < T <= t_final, got T={T}, "):
+                _fig1_config(mode="kicked", kick_period=T)
+
+    @pytest.mark.parametrize("mode", ["continuous", "ideal-reference"])
+    def test_kick_settings_only_on_kicked_configs(self, mode):
+        for kick in (dict(kick_period=1.0), dict(kick_period=30.0),
+                     dict(kick_period=-1.0, kick_at_zero=True)):
+            with pytest.raises(ValueError, match="^kick_period is for mode 'kicked' only"):
+                _fig1_config(mode=mode, **kick)
+        with pytest.raises(ValueError, match="^kick_at_zero is for mode 'kicked' only"):
+            _fig1_config(mode=mode, kick_at_zero=True)
+        # every emitted config carries kick_at_zero = false
+        assert _fig1_config(mode=mode, kick_at_zero=False).kick_schedule is None
+
+    @pytest.mark.parametrize("name", ["region_mass_tol", "boundary_mass_tol"])
+    def test_tolerances_not_negative(self, name):
+        assert getattr(_fig1_config(**{name: 0.0}), name) == 0.0
+        for value in (-1.0, -1e-300):
+            with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got {value}$"):
+                _fig1_config(**{name: value})
+
+    def test_packet_must_fit_the_grid(self):
+        # init_gaussian's checks, made at build time
+        with pytest.raises(ValueError, match="^packet too close to left grid edge"):
+            _fig1_config(packet=tc.WavepacketSpec(1.0, -242.0, 5.0))
+        # p0 = 5 at 2^10 points: p0 + 8 sigma_p = 9 is not below pi hbar/dx = 8.04
+        with pytest.raises(ValueError, match=r"= 9 is not below .* = 8\.04248$"):
+            _fig1_config(grid=tc.SpatialGrid(-250.0, 150.0, 2**10))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -308,14 +331,6 @@ class TestNonFiniteValues:
             else:
                 dataclasses.replace(getattr(cfg, spec), **{name: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["period", "t_final"])
-    def test_kick_schedule(self, name, value):
-        kwargs = dict(period=1.0, t_final=10.0)
-        kwargs[name] = value
-        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
-            KickSchedule(**kwargs)
-
 
 class TestRegimeReport:
     def test_fig1_continuous_marginally_invalid(self):
@@ -331,9 +346,10 @@ class TestRegimeReport:
         assert report.kick_period is None and report.kicked_ok is None
 
     def test_fig1_high_energy_valid(self):
-        report = validate_regime(
-            _fig1_config(packet=tc.WavepacketSpec(1.0, -30.0, 25.0), t_final=6.0)
-        )
+        # 2^12 points hold p0 + 8 sigma_p = 29 below pi hbar/dx = 32.2
+        report = validate_regime(_fig1_config(
+            packet=tc.WavepacketSpec(1.0, -30.0, 25.0), t_final=6.0,
+            grid=tc.SpatialGrid(-250.0, 150.0, 2**12)))
         assert report.energy == pytest.approx(312.5)
         assert report.continuous_ok
 
@@ -355,8 +371,14 @@ class TestRegimeReport:
         # the largest residue of hbar*omega*n modulo 2*pi*hbar/T over the
         # modes n = -j..j, as (omega, j, T, residue or None)
         cases = [
-            # T = tau*N/j * 2 = 1: max modular scale is small vs E
-            (2.0 * math.pi / 25.0, 50, 1.0, None),
+            # the fig1-kicked presets, omega = 2 pi/25 and T/25 = a/b: the
+            # residues are the multiples of 2 pi/(25 a) below 2 pi/T, the
+            # largest one step below it; a mode a whole number of turns round
+            # (n = -50 at T = 0.5) has residue 0, not 2 pi/T
+            (2.0 * math.pi / 25.0, 50, 0.5, 2.0 * math.pi * 49 / 25),
+            (2.0 * math.pi / 25.0, 50, 1.0, 2.0 * math.pi * 24 / 25),
+            (2.0 * math.pi / 25.0, 50, 2.0, 2.0 * math.pi * 12 / 25),
+            (2.0 * math.pi / 25.0, 50, 5.0, 2.0 * math.pi * 4 / 25),
             # a one-mode clock's mode is n = 0
             (1.0, 0, 1.0, 0.0),
             # [DERIVED] residue period 2*pi/T = 2, so the residue is n mod 2
@@ -372,9 +394,6 @@ class TestRegimeReport:
             assert 0.0 <= report.max_modular_energy < residue_period
             if expected is not None:
                 assert report.max_modular_energy == pytest.approx(expected, rel=1e-12)
-            # bitwise the largest of the modes' residues taken one by one
-            assert report.max_modular_energy == max(
-                (omega * int(n)) % residue_period for n in cfg.clock.modes)
             # the residue of some omega*n: they differ by a multiple of 2*pi/T
             diff = (omega * cfg.clock.modes - report.max_modular_energy) / residue_period
             assert np.min(np.abs(diff - np.round(diff))) < 1e-9

@@ -215,6 +215,19 @@ def _small_config(mode, **overrides):
     return tc.ExperimentConfig(**kwargs)
 
 
+def _unit_free(m, hbar, mode):
+    """Overrides for mass m and Planck constant hbar: p0 = 5 hbar, and the
+    times scaled by m/hbar, so that the packet crosses the region as at
+    m = hbar = 1 in as many steps or kicks."""
+    s = m / hbar
+    extra = dict(physical=tc.PhysicalConfig(m, hbar),
+                 packet=tc.WavepacketSpec(1.0, -14.0, 5.0 * hbar),
+                 t_final=4.0 * s, dt=0.02 * s)
+    if mode == "kicked":
+        extra["kick_period"] = 0.5 * s
+    return extra
+
+
 @st.composite
 def _random_runs(draw):
     """A small continuous or kicked config.  Kicked periods either make
@@ -283,6 +296,8 @@ class TestThetaGridOracle:
         ("continuous", {}),
         ("kicked", dict(kick_period=0.5)),
         ("kicked", dict(kick_period=0.5, kick_at_zero=True)),
+        *[pytest.param(mode, _unit_free(m, hbar, mode), id=f"{mode}-m{m:g}-hbar{hbar:g}")
+          for mode in ("continuous", "kicked") for m, hbar in ((2.0, 0.5), (0.5, 2.0))],
     ])
     def test_channel_engine_equivalence(self, mode, extra):
         # the production channel engines and the brute-force (x, theta)

@@ -356,6 +356,16 @@ class TestScheduleLoop:
             traj.final_state.amplitudes, state.amplitudes, rtol=0.0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("engine, mode", [
+        (evolve_continuous, "kicked"), (evolve_continuous, "ideal-reference"),
+        (evolve_kicked, "continuous"), (evolve_kicked, "ideal-reference"),
+    ])
+    def test_engine_takes_only_its_mode(self, engine, mode):
+        cfg = _config(mode=mode, kick_period=0.7 if mode == "kicked" else None)
+        with pytest.raises(ValueError, match=rf"^{engine.__name__} needs mode '\w+', "
+                                             rf"not '{mode}'$"):
+            engine(cfg)
+
     @pytest.mark.parametrize("engine, overrides", [
         (evolve_continuous, {}),
         (evolve_kicked, dict(mode="kicked", kick_period=0.7, kick_at_zero=True)),
