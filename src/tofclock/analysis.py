@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import ChannelState, ClockSpec, RegionSpec
 
@@ -88,13 +87,14 @@ class DistributionSeries:
         cls, times: np.ndarray, density: np.ndarray
     ) -> "DistributionSeries":
         """Series of a sampled density; its cdf is the trapezoid running
-        integral, which starts at exactly 0."""
+        integral from exactly 0, bit for bit scipy's cumulative_trapezoid."""
         density = np.asarray(density, dtype=float)
         worst = density.min() if density.size else 0.0
         if not worst >= -NEGATIVE_DENSITY_TOL:  # NaN fails it
             raise ValueError(f"density significantly negative or NaN: min={worst:.3e}")
         density = np.clip(density, 0.0, None)
-        cdf = cumulative_trapezoid(density, times, initial=0.0)
+        steps = np.diff(times) * (density[1:] + density[:-1]) / 2.0
+        cdf = np.concatenate(([0.0], np.cumsum(steps)))
         return cls(times=np.asarray(times, dtype=float), density=density, cdf=cdf)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class ClockSpec:
         _require_finite(self)
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.j < 0 or int(self.j) != self.j:
+        if not isinstance(self.j, Integral) or self.j < 0:
             raise ValueError(f"j must be a nonnegative integer, got {self.j}")
 
     @property
@@ -126,10 +127,6 @@ class WavepacketSpec:
         return 0.5 * math.erfc(self.p0 / (math.sqrt(2.0) * sp))
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic grid with the matching discrete Fourier wavenumbers.
@@ -149,10 +146,9 @@ class SpatialGrid:
             raise ValueError(
                 f"degenerate interval: x_max={self.x_max} <= x_min={self.x_min}"
             )
-        if not _is_power_of_two(self.num_points) or self.num_points < 8:
-            raise ValueError(
-                f"num_points must be a power of two >= 8, got {self.num_points}"
-            )
+        n = self.num_points
+        if not isinstance(n, Integral) or n < 8 or n & (n - 1):
+            raise ValueError(f"num_points must be a power of two >= 8, got {n}")
 
     @property
     def dx(self) -> float:

@@ -104,7 +104,7 @@ def test_criterion_03_clock_rigidity():
     )
 
 
-def test_criterion_04_representation_equivalence():
+def test_criterion_04_representation_equivalence(fig1_kicked_run):
     worst = 0.0
     for mode, extra in (("continuous", {}), ("kicked", dict(kick_period=0.5))):
         cfg = _small_config(mode=mode, **extra)
@@ -117,7 +117,17 @@ def test_criterion_04_representation_equivalence():
         err = np.max(np.abs(oracle.theta_marginal() - density[:-1]))
         worst = max(worst, err)
         assert err <= 1e-8
-    _report(4, f"channel vs (x,theta)-grid marginals, sup error {worst:.2e} <= 1e-8")
+
+    # the shipped kicked preset at full size, relative to the marginal's peak
+    marginal = oracles.evolve_theta_grid(fig1_kicked_run.config, 2**8).theta_marginal()
+    _, density = analysis.theta_distribution(fig1_kicked_run.final_state, 2**8)
+    rel = np.max(np.abs(marginal - density[:-1])) / marginal.max()
+    assert rel <= 1e-12
+    _report(
+        4,
+        f"channel vs (x,theta)-grid marginals, sup error {worst:.2e} <= 1e-8; "
+        f"fig1-kicked-T1 at 2^12, {rel:.2e} of the peak <= 1e-12",
+    )
 
 
 def test_criterion_05_stationary_scattering():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 import tofclock as tc
 from tofclock import analysis
@@ -11,11 +12,12 @@ from tofclock.analysis import (
     distribution_distance,
     hand_density,
     mean_reading,
+    state_tof_distribution,
     theta_distribution,
     theta_grid,
     transmission_report,
 )
-from tofclock.propagators import kinetic_step
+from tofclock.propagators import evolve_kicked, kinetic_step
 
 
 CLOCK = tc.ClockSpec(0.8, 8)
@@ -155,6 +157,17 @@ class TestDistributionSeries:
         dist = DistributionSeries.from_density(t, np.full_like(t, 0.5))
         assert dist.total_mass == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(dist.cdf, 0.5 * t, atol=1e-12)
+
+        # the running sum is scipy's cumulative trapezoid, byte for byte
+        cfg = tc.ExperimentConfig(
+            physical=tc.PhysicalConfig(), region=tc.RegionSpec(-8.0, 8.0),
+            clock=CLOCK, packet=SPEC, grid=GRID, mode="kicked", t_final=4.0,
+            kick_period=0.5, region_mass_tol=1.0, boundary_mass_tol=1.0,
+        )
+        kicked = state_tof_distribution(evolve_kicked(cfg).final_state)
+        for series in (dist, kicked):
+            want = cumulative_trapezoid(series.density, series.times, initial=0.0)
+            assert series.cdf.tobytes() == want.tobytes()
 
     def test_cdf_monotone(self):
         t = np.linspace(0.0, 1.0, 100)

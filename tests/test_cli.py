@@ -602,6 +602,16 @@ class TestMain:
                     got = (tmp_path / "after_error" / name).read_bytes()
                     assert _without_wall_time(got) == want
 
+    def test_import_leaves_scipy_solvers_out(self):
+        # the run path needs numpy and scipy.fft only; scipy.integrate, and
+        # the subpackages it pulls in, load only for the ODE oracle
+        env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).parents[1]))
+        code = "import sys, tofclock.cli; print(*sys.modules)"
+        loaded = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                                capture_output=True, text=True).stdout.split()
+        for name in ("integrate", "optimize", "sparse", "linalg", "spatial"):
+            assert f"scipy.{name}" not in loaded
+
     def test_unresolved_packet_exits_two(self, tmp_path, capsys):
         # p0 = 40 at 2^12 points: the packet's momenta reach past pi hbar/dx
         text = _edited_preset("fig1-high-energy", p0="40", num_points="4096")

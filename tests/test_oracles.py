@@ -254,12 +254,11 @@ def _random_runs(draw):
 
 class TestThetaGridOracle:
     def test_guards(self):
-        cfg = _small_config("continuous", grid=tc.SpatialGrid(-80.0, 80.0, 2**11))
-        with pytest.raises(ValueError):
-            oracles.evolve_theta_grid(cfg, 128)
-        with pytest.raises(ValueError):
-            oracles.evolve_theta_grid(_small_config("continuous"), 2**9)
-        with pytest.raises(ValueError):
+        # 2^14 x 2^8 values, twice the bound
+        cfg = _small_config("continuous", grid=tc.SpatialGrid(-80.0, 80.0, 2**14))
+        with pytest.raises(ValueError, match=f"limited to {oracles.THETA_GRID_MAX_VALUES} values"):
+            oracles.evolve_theta_grid(cfg, 2**8)
+        with pytest.raises(ValueError, match="undersamples"):
             oracles.evolve_theta_grid(
                 _small_config("continuous", clock=tc.ClockSpec(0.9, 40)), 64
             )
