@@ -61,15 +61,6 @@ def theta_distribution(
     return theta, density
 
 
-def hand_density(clock: ClockSpec, theta: np.ndarray) -> np.ndarray:
-    """Fejer-type angular density of the freshly initialized hand."""
-    n = clock.n_modes
-    num = np.sin(0.5 * n * theta) ** 2
-    den = np.sin(0.5 * theta) ** 2
-    out = np.where(den > 1e-30, num / np.maximum(den, 1e-300), float(n * n))
-    return out / (2.0 * math.pi * n)
-
-
 @dataclass
 class DistributionSeries:
     """Sampled time density with its cumulative distribution."""
@@ -112,43 +103,20 @@ def state_tof_distribution(
     return DistributionSeries.from_density(theta / omega, omega * density)
 
 
-def _fourier_coefficients(series: DistributionSeries) -> np.ndarray:
-    # the closed grid duplicates t=0 at the end; drop it for the DFT
-    samples = series.density[:-1]
-    return np.fft.fft(samples) / samples.size
-
-
-def mean_reading(
-    series: DistributionSeries,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Mean clock reading.
-
-    Default (no window): circular-centered linear mean, computed spectrally
+def mean_reading(series: DistributionSeries) -> float:
+    """Mean clock reading: circular-centered linear mean, computed spectrally
     so it is exact for the trigonometric-polynomial densities produced by
     `theta_distribution`.  The window of length one period P is centered on
     the circular mean direction, taken in [-pi/4, 7*pi/4), which makes the
     estimate insensitive to hand-kernel wings wrapping through t = 0.  A
     mean in [-P/8, 7*P/8) therefore comes back unwrapped, and a larger one
     reads P less.
-
-    With a window (t_lo, t_hi): plain trapezoid mean of t over the window.
     """
-    if window is not None:
-        lo, hi = window
-        mask = (series.times >= lo) & (series.times <= hi)
-        if mask.sum() < 2:
-            raise ValueError(f"window {window} contains too few samples")
-        t = series.times[mask]
-        p = series.density[mask]
-        mass = np.trapezoid(p, t)
-        if mass <= 0:
-            raise ValueError(f"window {window} holds no probability mass")
-        return float(np.trapezoid(t * p, t) / mass)
-
     period = float(series.times[-1])
-    c = _fourier_coefficients(series)
-    m = c.size
+    # the closed grid duplicates t=0 at the end; drop it for the DFT
+    samples = series.density[:-1]
+    m = samples.size
+    c = np.fft.fft(samples) / m
     mass = period * c[0].real
     if mass <= 0:
         raise ValueError("distribution carries no mass")

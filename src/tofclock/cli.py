@@ -188,6 +188,8 @@ def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
                 raise ValueError(f"{path} holds {data.shape[0]} rows of "
                                  f"{data.shape[1]} columns; need t,density,cdf "
                                  "on at least two rows")
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path} holds a value that is not finite")
             return analysis.DistributionSeries(data[:, 0], data[:, 1], data[:, 2])
     raise FileNotFoundError(f"no distribution data in {run_dir}")
 

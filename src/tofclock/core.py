@@ -312,7 +312,6 @@ def classical_tof(d: float, p: float, m: float) -> float:
 
 
 MODES = ("continuous", "kicked", "ideal-reference")
-PLACEMENTS = ("outside", "inside")
 
 
 @dataclass(frozen=True)
@@ -339,7 +338,6 @@ class ExperimentConfig:
     grid: SpatialGrid
     mode: str
     t_final: float
-    placement: str = "outside"
     dt: float | None = None
     kick_period: float | None = None
     kick_at_zero: bool = False
@@ -350,10 +348,6 @@ class ExperimentConfig:
         _require_finite(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENTS}, got {self.placement!r}"
-            )
         if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.region.x_left < self.grid.x_min or self.region.x_right > self.grid.x_max:
@@ -371,14 +365,10 @@ class ExperimentConfig:
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         _require_packet_fits(self.packet, self.grid, self.physical.hbar)
-        if self.placement == "outside" and self.packet.p0 > 0:
-            if not self.packet.x0 < self.region.x_left:
-                raise ValueError(
-                    "placement='outside' with p0 > 0 requires x0 < x_left"
-                )
-        if self.placement == "inside":
-            if not self.region.x_left < self.packet.x0 < self.region.x_right:
-                raise ValueError("placement='inside' requires x0 inside the region")
+        x0, region = self.packet.x0, self.region
+        if not (x0 < region.x_left or region.x_left < x0 < region.x_right):
+            raise ValueError(f"packet must start left of the region or inside it: "
+                             f"x0={x0}, region=({region.x_left}, {region.x_right})")
         w = self.packet.negative_momentum_weight(self.physical.hbar)
         if w > NEG_MOMENTUM_MAX:
             raise ValueError(
@@ -390,6 +380,12 @@ class ExperimentConfig:
             object.__setattr__(self, "dt", min(self.clock.tau, tf) / 200.0)
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+
+    @property
+    def placement(self) -> str:
+        """Where the packet starts: "outside", left of the region, so the
+        clock reads dwell times, or "inside" it, so it reads arrival times."""
+        return "inside" if self.packet.x0 > self.region.x_left else "outside"
 
     @property
     def kick_schedule(self) -> KickSchedule | None:

@@ -107,9 +107,12 @@ def barrier_amplitudes(
     )
 
 
+# relative and absolute tolerances of the ODE oracle's DOP853 integration
+ODE_RTOL = ODE_ATOL = 1e-12
+
+
 def barrier_amplitudes_numeric(
     E: float, V: float, d: float, m: float = 1.0, hbar: float = 1.0,
-    rtol: float = 1e-12, atol: float = 1e-12,
 ) -> ScatteringAmplitudes:
     """Brute-force check: integrate the stationary equation across the slab.
 
@@ -128,7 +131,7 @@ def barrier_amplitudes_numeric(
 
     y0 = [np.exp(1j * k * d), 1j * k * np.exp(1j * k * d)]
     sol = solve_ivp(
-        rhs, (d, 0.0), y0, rtol=rtol, atol=atol, dense_output=False,
+        rhs, (d, 0.0), y0, rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=False,
         method="DOP853",
     )
     u0, up0 = sol.y[0, -1], sol.y[1, -1]
@@ -165,6 +168,16 @@ def phase_shift_approx(
     t_f = classical_tof(d, math.sqrt(2.0 * m * E), m)
     approx = -n * clock.omega * t_f
     return exact, approx
+
+
+def hand_density(clock: ClockSpec, theta: np.ndarray) -> np.ndarray:
+    """Fejer-type angular density of the freshly initialized hand, in closed
+    form: |sum_n exp(i n theta)|^2 / (2 pi N) over the N = 2j+1 modes."""
+    n = clock.n_modes
+    num = np.sin(0.5 * n * theta) ** 2
+    den = np.sin(0.5 * theta) ** 2
+    out = np.where(den > 1e-30, num / np.maximum(den, 1e-300), float(n * n))
+    return out / (2.0 * math.pi * n)
 
 
 def momentum_density(
@@ -280,14 +293,16 @@ def evolve_theta_grid(
             psi = kinetic(psi, dt)
             psi = coupling(psi, 0.5 * dt)
     elif config.mode == "kicked":
-        schedule = config.kick_schedule
-        T = schedule.period
+        T = config.kick_period
+        # kicks at t = k*T for k = 1..floor(t_final/T), counted here and not
+        # taken from the engines' KickSchedule, so a miscount there shows
+        n_kicks = int(config.t_final / T + 1e-12)
         if config.kick_at_zero:
             psi = coupling(psi, T)
-        for _ in range(schedule.n_kicks):
+        for _ in range(n_kicks):
             psi = kinetic(psi, T)
             psi = coupling(psi, T)
-        remainder = config.t_final - schedule.n_kicks * T
+        remainder = config.t_final - n_kicks * T
         if remainder > 1e-12 * config.t_final:
             psi = kinetic(psi, remainder)
     else:

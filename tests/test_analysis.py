@@ -10,13 +10,13 @@ from tofclock import analysis
 from tofclock.analysis import (
     DistributionSeries,
     distribution_distance,
-    hand_density,
     mean_reading,
     state_tof_distribution,
     theta_distribution,
     theta_grid,
     transmission_report,
 )
+from tofclock.oracles import hand_density
 from tofclock.propagators import evolve_kicked, kinetic_step
 
 
@@ -239,21 +239,6 @@ class TestMeanReading:
         series = analysis.state_tof_distribution(tc.ChannelState(clock, GRID, amps), 256)
         expected = duration if fraction < 0.875 else duration - clock.period
         assert mean_reading(series) == pytest.approx(expected, abs=1e-9)
-
-    def test_windowed_mean(self):
-        # triangle density peaked at t = 1 on [0, 2]
-        t = np.linspace(0.0, 2.0, 2001)
-        density = 1.0 - np.abs(t - 1.0)
-        series = DistributionSeries.from_density(t, density)
-        assert mean_reading(series, window=(0.0, 2.0)) == pytest.approx(1.0, abs=1e-9)
-        # window on the rising flank only: mean of t * t on [0, 1] is 2/3
-        assert mean_reading(series, window=(0.0, 1.0)) == pytest.approx(2.0 / 3.0, abs=1e-6)
-
-    def test_windowed_mean_rejects_empty_window(self):
-        t = np.linspace(0.0, 2.0, 101)
-        series = DistributionSeries.from_density(t, np.ones_like(t))
-        with pytest.raises(ValueError):
-            mean_reading(series, window=(5.0, 6.0))
 
     def test_wraparound_insensitive(self):
         # a reading just past zero: the kernel wings wrap through t = period

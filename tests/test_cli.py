@@ -34,7 +34,7 @@ from tofclock.config_io import (
     load_config,
     parse_config_text,
 )
-from tofclock.core import MODES, PLACEMENTS, validate_regime
+from tofclock.core import MODES, validate_regime
 from tofclock.presets import get_preset, preset_names
 from tofclock.propagators import run_experiment
 
@@ -115,9 +115,11 @@ class TestConfigIO:
 
     @pytest.mark.parametrize("key, value", [("snapshots", "20"),
                                             ("dominance_factor", "10"),
-                                            ("neg_momentum_threshold", "1e-3")])
+                                            ("neg_momentum_threshold", "1e-3"),
+                                            ("placement", "outside")])
     def test_fixed_policies_are_not_keys(self, tmp_path, capsys, key, value):
-        # older config.txt files carry these; their values are now constants
+        # older config.txt files carry these; their values are now constants,
+        # or follow from where the packet starts
         text = emit_config(_small_config()).replace("[run]\n", f"[run]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config_text(text)
@@ -130,7 +132,8 @@ class TestConfigIO:
 
 @st.composite
 def _configs(draw, mode, placement):
-    """A valid ExperimentConfig of the given mode and placement."""
+    """A valid ExperimentConfig of the given mode whose packet starts left of
+    the region ("outside") or inside it ("inside")."""
     f = st.floats  # both bounds given: no nan, no infinity
     x_left, width = draw(f(-40.0, 0.0)), draw(f(0.5, 40.0))
     region = tc.RegionSpec(x_left, x_left + width)
@@ -157,7 +160,6 @@ def _configs(draw, mode, placement):
         grid=tc.SpatialGrid(x_min, x_max, 2 ** draw(st.integers(fit + 1, fit + 3))),
         mode=mode,
         t_final=t_final,
-        placement=placement,
         dt=draw(st.none() | f(1e-4, 1.0)),
         kick_period=draw(f(0.01, 1.0)) * t_final if kicked else None,
         kick_at_zero=kicked and draw(st.booleans()),
@@ -167,12 +169,13 @@ def _configs(draw, mode, placement):
 
 
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("placement", ["outside", "inside"])
     @pytest.mark.parametrize("mode", MODES)
     def test_emit_parse_round_trip(self, mode, placement):
         @settings(max_examples=40, deadline=None, derandomize=True, database=None)
         @given(_configs(mode, placement))
         def check(cfg):
+            assert cfg.placement == placement
             text = emit_config(cfg)
             assert parse_config_text(text) == cfg
             assert emit_config(parse_config_text(text)) == text
@@ -479,11 +482,21 @@ class TestCmdCompare:
         "t,density,cdf\n0,0.5,0\n",
         "t,density\n0,0.5\n1,0.5\n",
         "t,density,cdf,extra\n0,0.5,0,1\n1,0.5,0.5,1\n",
-    ], ids=["header-only", "one-row", "two-columns", "four-columns"])
+        # the good run's table, one value replaced: the grids match
+        (2, 1, "nan"),
+        (-1, 0, "inf"),
+    ], ids=["header-only", "one-row", "two-columns", "four-columns", "nan-density", "inf-t"])
     def test_rejects_malformed_table(self, tmp_path, capsys, table):
         good = cmd_run(_small_config(), tmp_path / "good")
         bad = tmp_path / "bad"
         bad.mkdir()
+        if isinstance(table, tuple):
+            row, column, value = table
+            lines = (good / "tof_density.csv").read_text(encoding="utf-8").splitlines()
+            fields = lines[row].split(",")
+            fields[column] = value
+            lines[row] = ",".join(fields)
+            table = "\n".join(lines) + "\n"
         (bad / "tof_density.csv").write_text(table, encoding="utf-8")
         out = tmp_path / "cmp"
         assert main(["compare", str(good), str(bad), "--out", str(out)]) == 2

@@ -11,7 +11,8 @@ import tofclock as tc
 from tofclock import oracles
 from tofclock.core import NEG_MOMENTUM_MAX
 from tofclock.propagators import evolve_continuous, evolve_kicked, run_experiment
-from tofclock.analysis import hand_density, theta_distribution, theta_grid
+from tofclock.analysis import theta_distribution, theta_grid
+from tofclock.oracles import hand_density
 
 
 class TestFreeGaussian:
@@ -280,6 +281,18 @@ class TestThetaGridOracle:
             monkeypatch.setattr(module, "init_gaussian", engine_packet, raising=False)
         res = oracles.evolve_theta_grid(cfg, 128)
         np.testing.assert_array_equal(res.theta_marginal(), expected)
+
+    def test_kicks_not_counted_by_the_engines(self, monkeypatch):
+        # the packet is half inside the region at the last kick, t = 4: with
+        # one kick fewer in the engines' schedule, the two must disagree
+        cfg = _small_config("kicked", kick_period=0.5)
+        n_kicks = tc.core.KickSchedule.n_kicks.fget
+        monkeypatch.setattr(tc.core.KickSchedule, "n_kicks",
+                            property(lambda schedule: n_kicks(schedule) - 1))
+        assert cfg.kick_schedule.n_kicks == 7
+        _, density = theta_distribution(evolve_kicked(cfg).final_state, 128)
+        oracle = oracles.evolve_theta_grid(cfg, 128).theta_marginal()
+        assert np.abs(oracle - density[:-1]).max() > 1e-3
 
     def test_region_not_masked_by_the_engines(self, monkeypatch):
         def engine_mask(*args, **kwargs):

@@ -209,7 +209,7 @@ class TestContinuousEvolution:
         cfg = _config(region=tc.RegionSpec(25.0, 35.0), t_final=1.0)
         traj = evolve_continuous(cfg)
         theta, density = analysis.theta_distribution(traj.final_state, 128)
-        expected = analysis.hand_density(cfg.clock, theta)
+        expected = oracles.hand_density(cfg.clock, theta)
         np.testing.assert_allclose(density, expected, atol=1e-10)
 
     def test_region_spanning_grid_reads_elapsed_time(self):
@@ -218,7 +218,6 @@ class TestContinuousEvolution:
         cfg = _config(
             region=tc.RegionSpec(-40.0, 39.9),
             packet=tc.WavepacketSpec(1.0, -15.0, 3.0),
-            placement="inside",
             t_final=3.0,
         )
         traj = evolve_continuous(cfg)
