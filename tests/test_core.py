@@ -290,16 +290,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _fig1_config(region=tc.RegionSpec(-25.0, 200.0))
 
-    def test_placement_follows_the_start(self):
-        # left of the region (-25, 25) the clock reads dwell times, inside it
-        # arrival times
+    def test_rejects_packet_inside_region_for_outside_placement(self):
+        # left of the region (-25, 25) the clock reads dwell times; a start
+        # exactly at its left edge or right of it is not an outside start
         assert _fig1_config().placement == "outside"
-        assert _fig1_config(packet=tc.WavepacketSpec(1.0, 0.0, 5.0)).placement == "inside"
-        # right of the region, at its right edge, or exactly at its left edge
-        for x0 in (30.0, 25.0, -25.0):
+        for x0 in (-25.0, 30.0):
             with pytest.raises(ValueError, match=rf"^packet must start left of the "
                                rf"region or inside it: x0={x0}, region=\(-25.0, 25.0\)$"):
                 _fig1_config(packet=tc.WavepacketSpec(1.0, x0, 5.0))
+
+    def test_inside_placement_requires_interior_start(self):
+        # inside the region the clock reads arrival times; its right edge is
+        # not interior
+        assert _fig1_config(packet=tc.WavepacketSpec(1.0, 0.0, 5.0)).placement == "inside"
+        with pytest.raises(ValueError, match=r"^packet must start left of the "
+                           r"region or inside it: x0=25.0, region=\(-25.0, 25.0\)$"):
+            _fig1_config(packet=tc.WavepacketSpec(1.0, 25.0, 5.0))
 
     def test_rejects_slow_packet(self):
         # p0 = 1, sigma = 1: 2.3% of the momentum density is negative
