@@ -183,7 +183,10 @@ def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
         if path.exists():
             with warnings.catch_warnings():  # an empty table is reported below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                try:
+                    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                except ValueError as exc:  # a value or a row it cannot read
+                    raise ValueError(f"{path} holds no table of numbers: {exc}") from None
             if data.shape[0] < 2 or data.shape[1] != 3:
                 raise ValueError(f"{path} holds {data.shape[0]} rows of "
                                  f"{data.shape[1]} columns; need t,density,cdf "

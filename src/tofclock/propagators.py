@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import analysis, oracles
 from .core import (
@@ -61,11 +60,9 @@ def _coupling_phases(modes: np.ndarray, omega: float, duration: float) -> np.nda
 
 def _fly(rows: np.ndarray, propagator: np.ndarray) -> None:
     """Exact free flight of every row, in place."""
-    out = sfft.fft(rows, axis=-1, overwrite_x=True)
-    out *= propagator
-    out = sfft.ifft(out, axis=-1, overwrite_x=True)
-    if not np.shares_memory(out, rows):  # scipy did not overwrite
-        rows[...] = out
+    np.fft.fft(rows, axis=-1, out=rows)
+    rows *= propagator
+    np.fft.ifft(rows, axis=-1, out=rows)
 
 
 def _couple(amps: np.ndarray, phases: np.ndarray, region: slice) -> None:

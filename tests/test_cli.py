@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import re
@@ -485,7 +486,10 @@ class TestCmdCompare:
         # the good run's table, one value replaced: the grids match
         (2, 1, "nan"),
         (-1, 0, "inf"),
-    ], ids=["header-only", "one-row", "two-columns", "four-columns", "nan-density", "inf-t"])
+        (2, 1, "abc"),
+        "t,density,cdf\n0,0.5,0\n1,0.5\n",
+    ], ids=["header-only", "one-row", "two-columns", "four-columns", "nan-density", "inf-t",
+            "text-density", "ragged-row"])
     def test_rejects_malformed_table(self, tmp_path, capsys, table):
         good = cmd_run(_small_config(), tmp_path / "good")
         bad = tmp_path / "bad"
@@ -615,15 +619,35 @@ class TestMain:
                     got = (tmp_path / "after_error" / name).read_bytes()
                     assert _without_wall_time(got) == want
 
-    def test_import_leaves_scipy_solvers_out(self):
-        # the run path needs numpy and scipy.fft only; scipy.integrate, and
-        # the subpackages it pulls in, load only for the ODE oracle
+    def test_run_path_needs_no_scipy(self, tmp_path):
+        # validate, run and compare import numpy alone: in an interpreter
+        # where every scipy import fails they exit 0 and write the bytes of
+        # the same calls made here
+        presets = ("fig1-kicked-T5", "fig1-ideal")
+
+        def calls(root: Path) -> list[list[str]]:
+            return ([["validate", "--preset", p] for p in presets]
+                    + [["run", "--preset", p, "--out", str(root / p)] for p in presets]
+                    + [["compare", *(str(root / p) for p in presets),
+                        "--out", str(root / "cmp")]])
+
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        assert [main(argv) for argv in calls(here)] == [0] * 5
+        code = ("import json, sys\n"
+                "sys.modules['scipy'] = None  # any import of scipy raises\n"
+                "from tofclock.cli import main\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "sys.exit(f'exit codes {codes}' if any(codes) else 0)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).parents[1]))
-        code = "import sys, tofclock.cli; print(*sys.modules)"
-        loaded = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                                capture_output=True, text=True).stdout.split()
-        for name in ("integrate", "optimize", "sparse", "linalg", "spatial"):
-            assert f"scipy.{name}" not in loaded
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(calls(fresh))],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        files = sorted(path.relative_to(here) for path in here.rglob("*") if path.is_file())
+        assert files == sorted(path.relative_to(fresh) for path in fresh.rglob("*")
+                               if path.is_file())
+        for name in files:
+            assert (_without_wall_time((fresh / name).read_bytes())
+                    == _without_wall_time((here / name).read_bytes())), name
 
     def test_unresolved_packet_exits_two(self, tmp_path, capsys):
         # p0 = 40 at 2^12 points: the packet's momenta reach past pi hbar/dx
