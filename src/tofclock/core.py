@@ -80,7 +80,7 @@ class ClockSpec:
         _require_finite(self)
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if not isinstance(self.j, Integral) or self.j < 0:
+        if not isinstance(self.j, Integral) or isinstance(self.j, bool) or self.j < 0:
             raise ValueError(f"j must be a nonnegative integer, got {self.j}")
 
     @property
@@ -348,6 +348,8 @@ class ExperimentConfig:
         _require_finite(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.kick_at_zero, bool):
+            raise ValueError(f"kick_at_zero must be a bool, got {self.kick_at_zero!r}")
         if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.region.x_left < self.grid.x_min or self.region.x_right > self.grid.x_max:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, oracles
 from .core import (
     ChannelState,
     ExperimentConfig,
@@ -29,8 +28,6 @@ from .core import (
     init_gaussian,
     product_state,
     row_sums,
-    validate_regime,
-    RegimeReport,
 )
 
 
@@ -106,9 +103,27 @@ class DiagnosticSample:
 
 
 @dataclass
-class Trajectory:
+class RunResult:
+    """Outcome of one propagation: the final state and its guard samples,
+    from the check of the initial state on."""
+
+    config: ExperimentConfig
     final_state: ChannelState
     diagnostics: list[DiagnosticSample]
+    max_channel_drift: float  # largest change of one channel's norm
+    wall_time: float
+
+    @property
+    def norm_drift(self) -> float:
+        return max(abs(s.norm - 1.0) for s in self.diagnostics)
+
+    @property
+    def region_mass_final(self) -> float:
+        return self.diagnostics[-1].region_mass
+
+    @property
+    def boundary_mass_final(self) -> float:
+        return self.diagnostics[-1].boundary_mass
 
 
 def _initial_state(config: ExperimentConfig) -> ChannelState:
@@ -324,7 +339,7 @@ def _evolve(
     segments: list[tuple[float, float]],
     check_every: int,
     workers: int | None,
-) -> Trajectory:
+) -> RunResult:
     """Runs `segments` on the tick stack as far as `_run_ticks` goes, from a
     product state (one row, equal weights) of a kicked clock of more than one
     mode; the channel loop continues the run on one row per channel, expanded
@@ -332,28 +347,31 @@ def _evolve(
     undercuts.  The pool may have a thread for every worker but the calling
     one; threads start only as blocks are handed to it, so a state too small
     to split starts none."""
-    state = initial_state if initial_state is not None else _initial_state(config)
     workers = resolve_workers(workers)
+    t0 = _time.perf_counter()
+    state = initial_state if initial_state is not None else _initial_state(config)
+    init_norms = state.channel_norms()
     w = state.weights
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         diagnostics, ran = [], 0
         if (config.mode == "kicked" and state.clock.n_modes > 1 and w is not None
                 and w.shape[1] == 1 and (w == w[0, 0]).all()):
             state, diagnostics, ran = _run_ticks(config, state, segments, workers, pool)
-            if ran == len(segments):
-                return Trajectory(state, diagnostics)
-        # the expansion of a factored state is a new array already
-        amps = state.rows.copy() if state.weights is None else state.weights @ state.rows
-        state = ChannelState(state.clock, state.grid, amps)
-        _run_schedule(config, amps, segments[ran:], check_every, workers, pool, diagnostics)
-    return Trajectory(state, diagnostics)
+        if ran < len(segments):
+            # the expansion of a factored state is a new array already
+            amps = state.rows.copy() if state.weights is None else state.weights @ state.rows
+            state = ChannelState(state.clock, state.grid, amps)
+            _run_schedule(config, amps, segments[ran:], check_every, workers, pool,
+                          diagnostics)
+    drift = float(np.abs(state.channel_norms() - init_norms).max())
+    return RunResult(config, state, diagnostics, drift, _time.perf_counter() - t0)
 
 
 def evolve_continuous(
     config: ExperimentConfig,
     initial_state: ChannelState | None = None,
     workers: int | None = None,
-) -> Trajectory:
+) -> RunResult:
     """Strang-split evolution of the continuously coupled system.
 
     Per step of size dt: half coupling phase, exact kinetic step, half
@@ -375,7 +393,7 @@ def evolve_kicked(
     config: ExperimentConfig,
     initial_state: ChannelState | None = None,
     workers: int | None = None,
-) -> Trajectory:
+) -> RunResult:
     """Kicked evolution: exact free flights of duration T separated by
     instantaneous coupling kicks at t = T, 2T, ... (or also at t = 0 with
     kick_at_zero), plus a final partial free flight up to t_final.
@@ -396,79 +414,25 @@ def evolve_kicked(
     return _evolve(config, initial_state, segments, 1, workers)
 
 
-@dataclass
-class RunResult:
-    """Outcome of a full experiment: final state plus diagnostics.
-
-    For mode 'ideal-reference' there is no propagation; `ideal` carries the
-    closed-form dwell-time distribution, `final_state` is None and
-    `max_channel_drift` is 0.
-    """
-
-    config: ExperimentConfig
-    regime: RegimeReport
-    final_state: ChannelState | None
-    diagnostics: list[DiagnosticSample]
-    max_channel_drift: float  # largest change of one channel's norm
-    wall_time: float
-    ideal: analysis.DistributionSeries | None = None
-
-    @property
-    def norm_drift(self) -> float:
-        if not self.diagnostics:
-            return 0.0
-        return max(abs(s.norm - 1.0) for s in self.diagnostics)
-
-    @property
-    def region_mass_final(self) -> float:
-        return self.diagnostics[-1].region_mass if self.diagnostics else 0.0
-
-    @property
-    def boundary_mass_final(self) -> float:
-        return self.diagnostics[-1].boundary_mass if self.diagnostics else 0.0
-
-
 def run_experiment(
     config: ExperimentConfig,
     workers: int | None = None,
 ) -> RunResult:
-    """Dispatch to the configured engine and collect diagnostics.
+    """Propagate a continuous or kicked config with its engine.
 
     `workers` is the number of channel blocks propagated in parallel
     (default: every available core); it does not change any result.
-    Raises CollisionUnfinishedError if the region occupancy at t_final is
-    above config.region_mass_tol (the collision is not over and clock
-    readings would still be accruing).
+    Raises ValueError for an ideal-reference config, whose closed form
+    `oracles.ideal_dwell` gives, and CollisionUnfinishedError if the region
+    occupancy at t_final is above config.region_mass_tol (the collision is
+    not over and clock readings would still be accruing).
     """
-    workers = resolve_workers(workers)
-    regime = validate_regime(config)
-    t0 = _time.perf_counter()
-
-    if config.mode == "ideal-reference":
-        # the clock runs' grid: state_tof_distribution maps theta to theta/omega
-        times = analysis.theta_grid(config.clock) / config.clock.omega
-        dist = oracles.ideal_dwell(
-            config.packet, config.region, config.physical.m, times,
-            hbar=config.physical.hbar,
-        )
-        return RunResult(
-            config=config, regime=regime, final_state=None, diagnostics=[],
-            max_channel_drift=0.0, wall_time=_time.perf_counter() - t0, ideal=dist,
-        )
-
-    initial = _initial_state(config)
-    init_norms = initial.channel_norms()
     if config.mode == "continuous":
-        traj = evolve_continuous(config, initial, workers)
+        result = evolve_continuous(config, workers=workers)
+    elif config.mode == "kicked":
+        result = evolve_kicked(config, workers=workers)
     else:
-        traj = evolve_kicked(config, initial, workers)
-    wall = _time.perf_counter() - t0
-
-    drift = np.abs(traj.final_state.channel_norms() - init_norms).max()
-    result = RunResult(
-        config=config, regime=regime, final_state=traj.final_state,
-        diagnostics=traj.diagnostics, max_channel_drift=float(drift), wall_time=wall,
-    )
+        raise ValueError("an ideal-reference config has nothing to propagate")
     if not result.region_mass_final <= config.region_mass_tol:  # NaN fails it
         raise CollisionUnfinishedError(
             f"region occupancy {result.region_mass_final:.3e} at t_final="

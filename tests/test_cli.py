@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tofclock as tc
-from tofclock import config_io, propagators
+from tofclock import config_io, oracles, propagators
 from tofclock.analysis import (
     DistributionSeries,
     distribution_distance,
     state_tof_distribution,
+    theta_grid,
 )
 from tofclock.cli import (
     _csv_pieces,
@@ -377,11 +378,13 @@ class TestCmdRun:
     def test_table_equals_streamed_lines(self, tmp_path, mode):
         cfg = _small_config(mode=mode, kick_period=0.5 if mode == "kicked" else None)
         out = cmd_run(cfg, tmp_path / "run", workers=1)
-        result = run_experiment(cfg, workers=1)
         if mode == "kicked":
-            name, series = "tof_density.csv", state_tof_distribution(result.final_state)
+            final_state = run_experiment(cfg, workers=1).final_state
+            name, series = "tof_density.csv", state_tof_distribution(final_state)
         else:
-            name, series = "ideal_dwell.csv", result.ideal
+            times = theta_grid(cfg.clock) / cfg.clock.omega
+            name, series = "ideal_dwell.csv", oracles.ideal_dwell(
+                cfg.packet, cfg.region, cfg.physical.m, times, hbar=cfg.physical.hbar)
         want = "".join(_csv_pieces(["t", "density", "cdf"],
                                    [series.times, series.density, series.cdf]))
         assert (out / name).read_text(encoding="utf-8") == want

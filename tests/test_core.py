@@ -55,7 +55,8 @@ class TestSpecs:
             tc.ClockSpec(0.0, 3)
         with pytest.raises(ValueError):
             tc.ClockSpec(1.0, -1)
-        for j in (2.5, 2.0):
+        # a bool is an Integral, but its config.txt would not load
+        for j in (2.5, 2.0, True):
             with pytest.raises(ValueError, match="j must be"):
                 tc.ClockSpec(1.0, j)
 
@@ -266,6 +267,15 @@ class TestExperimentConfig:
             _fig1_config(mode=mode, kick_at_zero=True)
         # every emitted config carries kick_at_zero = false
         assert _fig1_config(mode=mode, kick_at_zero=False).kick_schedule is None
+
+    def test_kick_at_zero_must_be_bool(self):
+        # the engines test it for truth, so "false" would kick at t = 0 while
+        # its config.txt reads back as kick_at_zero = false
+        kicked = get_preset("fig1-kicked-T5")
+        for value in ("false", 0, 1):
+            with pytest.raises(ValueError,
+                               match=rf"^kick_at_zero must be a bool, got {value!r}$"):
+                dataclasses.replace(kicked, kick_at_zero=value)
 
     @pytest.mark.parametrize("name", ["region_mass_tol", "boundary_mass_tol"])
     def test_tolerances_not_negative(self, name):

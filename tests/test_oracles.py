@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from scipy.special import erfcinv
 import tofclock as tc
 from tofclock import oracles
 from tofclock.core import NEG_MOMENTUM_MAX
-from tofclock.propagators import evolve_continuous, evolve_kicked, run_experiment
+from tofclock.propagators import evolve_continuous, evolve_kicked
 from tofclock.analysis import theta_distribution, theta_grid
 from tofclock.oracles import hand_density
 
@@ -185,8 +189,9 @@ class TestIdealDwell:
             clock=tc.ClockSpec(0.9, 6), grid=tc.SpatialGrid(-40.0, 40.0, 2**9),
             mode="ideal-reference", t_final=20.0,
         )
-        result = run_experiment(tc.ExperimentConfig(packet=under, **base))
-        assert result.ideal.total_mass > 0.0
+        cfg = tc.ExperimentConfig(packet=under, **base)
+        times = theta_grid(cfg.clock) / cfg.clock.omega
+        assert oracles.ideal_dwell(under, cfg.region, 1.0, times).total_mass > 0.0
         limit = re.escape(f"{NEG_MOMENTUM_MAX:.3e}")
         with pytest.raises(ValueError, match=f"exceeds threshold {limit}"):
             tc.ExperimentConfig(packet=over, **base)
@@ -303,6 +308,15 @@ class TestThetaGridOracle:
         monkeypatch.setattr(tc.SpatialGrid, "region_mask", engine_mask)
         res = oracles.evolve_theta_grid(cfg, 128)
         np.testing.assert_array_equal(res.theta_marginal(), expected)
+
+    def test_engines_import_no_reference(self):
+        # in a fresh interpreter, so that no other test's imports count
+        code = ("import sys, tofclock.propagators; "
+                "print(sorted(m for m in sys.modules if m.startswith('tofclock')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "['tofclock', 'tofclock.core', 'tofclock.propagators']\n"
 
     @pytest.mark.parametrize("mode,extra", [
         ("continuous", {}),

@@ -252,12 +252,15 @@ class TestContinuousEvolution:
 
 class TestKickedEvolution:
     def test_channel_norms_conserved(self):
-        traj = evolve_kicked(_config(mode="kicked", kick_period=0.5))
+        cfg = _config(mode="kicked", kick_period=0.5)
+        traj = evolve_kicked(cfg)
         np.testing.assert_allclose(
             traj.final_state.channel_norms(),
             1.0 / traj.final_state.clock.n_modes,
             atol=1e-12,
         )
+        # the engine measures the drift that run_experiment reports
+        assert run_experiment(cfg).max_channel_drift == traj.max_channel_drift
 
     def test_free_flight_between_kicks_is_exact(self):
         # kicks are pure phases, so the n = 0 channel is an exact free
@@ -827,10 +830,10 @@ class TestRunExperiment:
         assert result.wall_time > 0
 
     def test_ideal_reference_dispatch(self):
-        result = run_experiment(_config(mode="ideal-reference"))
-        assert result.final_state is None
-        assert result.ideal is not None
-        assert result.ideal.total_mass == pytest.approx(1.0, abs=1e-4)
+        # the ideal reference is a closed form: oracles.ideal_dwell gives it
+        with pytest.raises(ValueError, match="^an ideal-reference config has nothing "
+                                             "to propagate$"):
+            run_experiment(_config(mode="ideal-reference"))
 
     def test_collision_unfinished_raises(self):
         with pytest.raises(CollisionUnfinishedError):
@@ -849,4 +852,4 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_nonpositive_workers(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            run_experiment(_config(mode="ideal-reference"), workers=workers)
+            run_experiment(_config(), workers=workers)
