@@ -44,13 +44,6 @@ _SCHEMA = {
 def _convert(section: str, key: str, raw: str):
     typ, _ = _SCHEMA[section][key]
     try:
-        if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         value = typ(raw)
     except ValueError:
         raise ConfigError(
@@ -100,8 +93,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

@@ -279,8 +279,6 @@ def evolve_theta_grid(
         return np.fft.ifft(modes, axis=1)
 
     def kinetic(psi, duration):
-        if duration == 0:
-            return psi
         spec = np.fft.fft(psi, axis=0)
         spec *= kin_phase_of(duration)
         return np.fft.ifft(spec, axis=0)
@@ -297,8 +295,6 @@ def evolve_theta_grid(
         # kicks at t = k*T for k = 1..floor(t_final/T), counted here and not
         # taken from the engines' KickSchedule, so a miscount there shows
         n_kicks = int(config.t_final / T + 1e-12)
-        if config.kick_at_zero:
-            psi = coupling(psi, T)
         for _ in range(n_kicks):
             psi = kinetic(psi, T)
             psi = coupling(psi, T)

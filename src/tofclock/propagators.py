@@ -282,11 +282,13 @@ def _run_ticks(
     A flight propagates the live rows, split into blocks by the channel
     path's rule, through `_each_block`; a kick makes one more row live and
     moves the region part of row m to row m + 1 on the calling thread.
-    Guards run after every segment but the first, on the exact masses of the
+    Guards run after every segment, on the exact masses of the
     channel state over the region and the grid's `edges`: over columns S,
     dx sum_{m,m'} H[m - m'] G[m, m'] with G = Phi_S Phi_S^H and H_d =
     sum_n z_n^d.  The norm is the stack's, (2j+1) dx sum_m |Phi_m|^2, which
-    equals the channels' in exact arithmetic.
+    equals the channels' in exact arithmetic: each flight block returns its
+    rows' sums, added in row order as on the channel path, and a kick only
+    moves values between rows.
     """
     grid, clock, n_modes = config.grid, config.clock, config.clock.n_modes
     region, dx = grid.region_slice(config.region), grid.dx
@@ -306,30 +308,33 @@ def _run_ticks(
         x = columns.view(np.float64)
         return float(np.vdot(toeplitz[:live, :live], x @ x.T)) * dx
 
-    def sample(t: float) -> DiagnosticSample:
+    def fly(block: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+        _fly(block, propagator)
+        return row_sums(block, slice(None))[0]
+
+    def sample(t: float, row_norms: np.ndarray) -> DiagnosticSample:
         phi = stack[:live]
         edges = np.concatenate([phi[:, edge] for edge in grid.edges], axis=1)
         return _check_guards(config, DiagnosticSample(
-            t=t, norm=float(n_modes * np.vdot(phi, phi).real) * dx,
+            t=t, norm=float(n_modes * row_norms.sum()) * dx,
             region_mass=mass(phi[:, region]), boundary_mass=mass(edges),
         ))
 
-    t, diagnostics, ran = 0.0, [sample(0.0)], len(segments)
+    t, ran = 0.0, len(segments)
+    diagnostics = [sample(0.0, row_sums(stack[:1], slice(None))[0])]
     for i, (flight, phase) in enumerate(segments):
-        if flight:
-            if live == n_modes <= kicks:  # the hand-over
-                ran = i
-                break
-            blocks = np.array_split(
-                stack[:live], _block_count(workers, live, grid.num_points))
-            _each_block(pool, lambda b: _fly(blocks[b], flights[flight]), len(blocks))
-            t += flight
+        if live == n_modes <= kicks:  # the hand-over
+            ran = i
+            break
+        blocks = np.array_split(stack[:live], _block_count(workers, live, grid.num_points))
+        row_norms = np.concatenate(_each_block(
+            pool, lambda b: fly(blocks[b], flights[flight]), len(blocks)))
+        t += flight
         if phase:
             live += 1
             stack[1:live, region] = stack[:live - 1, region]
             stack[0, region] = 0
-        if i:
-            diagnostics.append(sample(t))
+        diagnostics.append(sample(t, row_norms))
     return ChannelState(clock, grid, stack, clock_phases), diagnostics, ran
 
 
@@ -394,9 +399,9 @@ def evolve_kicked(
     initial_state: ChannelState | None = None,
     workers: int | None = None,
 ) -> RunResult:
-    """Kicked evolution: exact free flights of duration T separated by
-    instantaneous coupling kicks at t = T, 2T, ... (or also at t = 0 with
-    kick_at_zero), plus a final partial free flight up to t_final.
+    """Kicked evolution: exact free flights of duration T, each followed
+    by an instantaneous coupling kick, at t = T, 2T, ..., plus a final
+    partial free flight up to t_final.
 
     No splitting error: the inter-kick Hamiltonian is purely kinetic.  A
     product state runs in the tick basis, and a final state reached there
@@ -407,7 +412,7 @@ def evolve_kicked(
         raise ValueError(f"evolve_kicked needs mode 'kicked', not {config.mode!r}")
     schedule = config.kick_schedule
     T = schedule.period
-    segments = [(0.0, T if config.kick_at_zero else 0.0)] + [(T, T)] * schedule.n_kicks
+    segments = [(T, T)] * schedule.n_kicks
     remainder = config.t_final - schedule.n_kicks * T
     if remainder > 1e-12 * config.t_final:
         segments.append((remainder, 0.0))

@@ -251,6 +251,10 @@ class TestExperimentConfig:
         cfg = _fig1_config(mode="kicked", kick_period=1.0)
         sched = cfg.kick_schedule
         assert (sched.period, sched.n_kicks) == (1.0, 25)
+        # kicks fall at T, 2T, ...: none at t = 0, and no field to ask for one
+        assert cfg.kick_at_zero is False
+        with pytest.raises(TypeError, match="kick_at_zero"):
+            dataclasses.replace(cfg, kick_at_zero=True)
 
     def test_kick_period_must_fit(self):
         for T in (30.0, 0.0, -1.0):
@@ -259,23 +263,10 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("mode", ["continuous", "ideal-reference"])
     def test_kick_settings_only_on_kicked_configs(self, mode):
-        for kick in (dict(kick_period=1.0), dict(kick_period=30.0),
-                     dict(kick_period=-1.0, kick_at_zero=True)):
+        for T in (1.0, 30.0, -1.0):
             with pytest.raises(ValueError, match="^kick_period is for mode 'kicked' only"):
-                _fig1_config(mode=mode, **kick)
-        with pytest.raises(ValueError, match="^kick_at_zero is for mode 'kicked' only"):
-            _fig1_config(mode=mode, kick_at_zero=True)
-        # every emitted config carries kick_at_zero = false
-        assert _fig1_config(mode=mode, kick_at_zero=False).kick_schedule is None
-
-    def test_kick_at_zero_must_be_bool(self):
-        # the engines test it for truth, so "false" would kick at t = 0 while
-        # its config.txt reads back as kick_at_zero = false
-        kicked = get_preset("fig1-kicked-T5")
-        for value in ("false", 0, 1):
-            with pytest.raises(ValueError,
-                               match=rf"^kick_at_zero must be a bool, got {value!r}$"):
-                dataclasses.replace(kicked, kick_at_zero=value)
+                _fig1_config(mode=mode, kick_period=T)
+        assert _fig1_config(mode=mode).kick_schedule is None
 
     @pytest.mark.parametrize("name", ["region_mass_tol", "boundary_mass_tol"])
     def test_tolerances_not_negative(self, name):

@@ -96,8 +96,6 @@ def _weighted(state):
 
 def _kicked_composition(cfg, state):
     T, n = cfg.kick_period, cfg.kick_schedule.n_kicks
-    if cfg.kick_at_zero:
-        state = coupling_phase_step(state, T, cfg.region)
     for _ in range(n):
         state = coupling_phase_step(kinetic_step(state, T), T, cfg.region)
     return kinetic_step(state, cfg.t_final - n * T)
@@ -282,14 +280,6 @@ class TestKickedEvolution:
         # one diagnostic at t=0 plus one per kick; remainder flight is empty
         assert len(traj.diagnostics) == 11
 
-    def test_kick_at_zero_changes_result(self):
-        cfg = _config(mode="kicked", kick_period=0.5)
-        a = evolve_kicked(cfg).final_state
-        b = evolve_kicked(dataclasses.replace(cfg, kick_at_zero=True)).final_state
-        # at t = 0 only the far Gaussian tail overlaps the region, so the
-        # extra kick shifts the state by a small but nonzero amount
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) > 1e-9
-
     def test_converges_to_continuous(self):
         # T -> 0: the kicked scheme is a first-order splitting of the
         # continuous dynamics, so the distance must shrink with T
@@ -336,9 +326,9 @@ def _spied_run(cfg, workers):
 
 class TestScheduleLoop:
     def test_kicked_equals_public_operator_composition(self):
-        # kick at zero, 7 kicks and a remainder flight: every segment kind,
-        # on the channel path (unequal rows)
-        cfg = _config(mode="kicked", kick_period=0.7, kick_at_zero=True)
+        # 7 kicks and a remainder flight: both segment kinds, on the channel
+        # path (unequal rows)
+        cfg = _config(mode="kicked", kick_period=0.7)
         initial = _weighted(_free_state()[0])
         state = _kicked_composition(cfg, initial)
         traj = evolve_kicked(cfg, initial_state=initial)
@@ -370,7 +360,7 @@ class TestScheduleLoop:
 
     @pytest.mark.parametrize("engine, overrides", [
         (evolve_continuous, {}),
-        (evolve_kicked, dict(mode="kicked", kick_period=0.7, kick_at_zero=True)),
+        (evolve_kicked, dict(mode="kicked", kick_period=0.7)),
         (evolve_kicked, dict(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9))),
     ])
     def test_initial_state_not_mutated(self, engine, overrides):
@@ -391,7 +381,7 @@ class TestScheduleLoop:
     ])
     @pytest.mark.parametrize("overrides", [
         dict(t_final=0.1),
-        dict(mode="kicked", kick_period=0.0025, kick_at_zero=True, t_final=0.1),
+        dict(mode="kicked", kick_period=0.0025, t_final=0.1),
     ])
     def test_blocks_do_not_change_result(self, clock, grid, expected_blocks, overrides):
         cfg = _config(clock=clock, grid=grid, **overrides)
@@ -574,16 +564,15 @@ def _expected_path(cfg, product):
     product, up to its first flight of 2j+1 live rows if it would grow past
     2j+1 rows, and one row per channel from there, or from the start."""
     n, sched = cfg.clock.n_modes, cfg.kick_schedule
-    flights = sched.n_kicks + (cfg.t_final - sched.n_kicks * sched.period
-                               > 1e-12 * cfg.t_final)
-    segments, rows = flights + 1, sched.n_kicks + cfg.kick_at_zero + 1
+    segments = sched.n_kicks + (cfg.t_final - sched.n_kicks * sched.period
+                                > 1e-12 * cfg.t_final)
+    rows = sched.n_kicks + 1
     if not product:
         return (("channels", n, segments),)
     if rows <= n:
         return (("ticks", rows, segments),)
-    # flight i, in segment i, propagates kick_at_zero + i live rows (j > 0)
-    switch = n - cfg.kick_at_zero
-    return (("ticks", n, switch), ("channels", n, segments - switch))
+    # segment i flies i + 1 live rows (j > 0), so segment n - 1 would fly n
+    return (("ticks", n, n - 1), ("channels", n, segments - n + 1))
 
 
 @st.composite
@@ -607,7 +596,7 @@ def _random_kicked_runs(draw):
         omega = draw(st.floats(0.2, 3.0))
     grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
     cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
-                  kick_period=T, kick_at_zero=draw(st.booleans()))
+                  kick_period=T)
     product = len(set(weights)) == 1
     weights = np.array(weights) / math.sqrt(np.sum(np.square(weights)))
     psi = tc.init_gaussian(cfg.packet, grid)
@@ -640,16 +629,16 @@ def _random_tick_runs(draw):
         omega = draw(st.floats(0.2, 3.0))
     grid = tc.SpatialGrid(-40.0, 40.0, 2**8)
     cfg = _config(clock=tc.ClockSpec(omega, j), grid=grid, mode="kicked", t_final=3.0,
-                  kick_period=T, kick_at_zero=draw(st.booleans()))
+                  kick_period=T)
     return cfg, commensurate
 
 
-def _one_mode_run(kick_at_zero):
+def _one_mode_run():
     """A kicked product-state config of a one-mode (j = 0) clock, whose 7
     kicks would outgrow its one channel, as (config, commensurate) like
     `_random_tick_runs`."""
     cfg = _config(clock=tc.ClockSpec(0.8, 0), grid=tc.SpatialGrid(-40.0, 40.0, 2**8),
-                  mode="kicked", t_final=3.0, kick_period=0.4, kick_at_zero=kick_at_zero)
+                  mode="kicked", t_final=3.0, kick_period=0.4)
     return cfg, False
 
 
@@ -689,21 +678,20 @@ class TestKickClasses:
         # omega T / 2 pi = 1/9; only a factored state with equal weights takes
         # the tick stack, and a state with one row per channel is bitwise the
         # operator composition
-        cfg = _config(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9),
-                      kick_at_zero=True)
+        cfg = _config(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9))
         state, _, _ = _free_state()
         if not product:
             state = _weighted(state)
         expected = _kicked_composition(cfg, state).amplitudes
         final = evolve_kicked(cfg, initial_state=state).final_state.amplitudes
         if product:
-            assert _path(cfg, state) == (("ticks", 7, 7),)
+            assert _path(cfg, state) == (("ticks", 6, 6),)
             np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
             # the same channels, built by hand as equal rows, are not factored
             rows = tc.ChannelState(state.clock, state.grid, state.amplitudes.copy())
-            assert _path(cfg, rows) == (("channels", 17, 7),)
+            assert _path(cfg, rows) == (("channels", 17, 6),)
         else:
-            assert _path(cfg, state) == (("channels", 17, 7),)
+            assert _path(cfg, state) == (("channels", 17, 6),)
             np.testing.assert_array_equal(final, expected)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -719,8 +707,7 @@ class TestKickClasses:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_random_tick_runs())
-    @example(_one_mode_run(kick_at_zero=False))
-    @example(_one_mode_run(kick_at_zero=True))
+    @example(_one_mode_run())
     def test_random_configs_diagnostics_match_channel_path(self, run):
         # a commensurate run kicks past one clock period, where readings a
         # whole period apart coincide; the clock marginal is the theta-grid
@@ -769,7 +756,7 @@ class TestKickClasses:
         # and at four workers into three from 6 on and four from 8 on
         cfg = _config(grid=tc.SpatialGrid(-40.0, 40.0, 2**14), mode="kicked",
                       kick_period=_commensurate_period(0.8, 1, 9), t_final=12.0)
-        assert _path(cfg) == (("ticks", 14, 15),)
+        assert _path(cfg) == (("ticks", 14, 14),)
         expected = {1: [1] * 14, 2: [1] * 3 + [2] * 11, 4: [1, 1, 1, 2, 2, 3, 3] + [4] * 7}
         runs = []
         for workers, blocks_per_flight in expected.items():
@@ -789,7 +776,7 @@ class TestKickClasses:
         # first flight of 101 rows
         cfg = dataclasses.replace(get_preset("fig1-kicked-T0.2"),
                                   grid=tc.SpatialGrid(-250.0, 150.0, 2**12))
-        assert _path(cfg) == (("ticks", 101, 101), ("channels", 101, 25))
+        assert _path(cfg) == (("ticks", 101, 100), ("channels", 101, 25))
         with pytest.raises(BoundaryLeakError) as info:
             run_experiment(cfg)
         assert str(info.value) == "boundary occupancy 2.053e-02 at t=20"
