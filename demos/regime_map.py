@@ -67,8 +67,8 @@ def main() -> None:
               f"{mean:9.3f} {ref:7.3f} {abs(mean - ref) / ref:8.1%}")
 
     print("\nkicked clock at low energy (p0 = 5, E = 12.5):")
-    lo = base.clock.n_modes * base.clock.tau / base.clock.j
-    print(f"working window: {lo:.3f} < T < {base.classical_time:.1f}")
+    window = tc.validate_regime(base)
+    print(f"working window: {window.min_kick_period:.3f} < T < {window.classical_time:.1f}")
     print(f"{'T':>5} {'in window?':>11} {'measured':>9} {'ideal':>7} {'rel err':>8}")
     ref = ideal_mean(base)
     for T in (0.2, 0.5, 1.0, 2.0, 5.0, 12.5):

@@ -77,16 +77,21 @@ class DistributionSeries:
     def from_density(
         cls, times: np.ndarray, density: np.ndarray
     ) -> "DistributionSeries":
-        """Series of a sampled density; its cdf is the trapezoid running
-        integral from exactly 0, bit for bit scipy's cumulative_trapezoid."""
+        """Series of a density sampled at two or more times; its cdf is the
+        trapezoid running integral from exactly 0, bit for bit scipy's
+        cumulative_trapezoid."""
+        times = np.asarray(times, dtype=float)
         density = np.asarray(density, dtype=float)
-        worst = density.min() if density.size else 0.0
+        if times.ndim != 1 or density.shape != times.shape or times.size < 2:
+            raise ValueError(f"need 1-D times and density of one length >= 2, got "
+                             f"shapes {times.shape} and {density.shape}")
+        worst = density.min()
         if not worst >= -NEGATIVE_DENSITY_TOL:  # NaN fails it
             raise ValueError(f"density significantly negative or NaN: min={worst:.3e}")
         density = np.clip(density, 0.0, None)
         steps = np.diff(times) * (density[1:] + density[:-1]) / 2.0
         cdf = np.concatenate(([0.0], np.cumsum(steps)))
-        return cls(times=np.asarray(times, dtype=float), density=density, cdf=cdf)
+        return cls(times=times, density=density, cdf=cdf)
 
 
 def state_tof_distribution(

@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import sys
@@ -22,46 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracles
-from .config_io import ConfigError, emit_config, load_config
-from .core import DOMINANCE_FACTOR, ExperimentConfig, RegimeReport, validate_regime
+from .config_io import ConfigError, emit_config, key_value_lines, load_config
+from .core import ExperimentConfig, RegimeReport, validate_regime
 from .presets import IMPLEMENTATION_CHOICE_NOTE, get_preset, preset_names
 from .propagators import PropagationError, resolve_workers, run_experiment
 
 
-def _verdict(flag: bool | None) -> str:
-    if flag is None:
-        return "n/a"
-    return "PASS" if flag else "FAIL"
-
-
-def regime_text(report: RegimeReport) -> str:
-    lines = [
-        f"energy E = {report.energy:.17g}",
-        f"continuous scale pi*hbar/tau = {report.resolution_scale:.17g}",
-        f"dominance factor = {DOMINANCE_FACTOR:.17g}",
-        "continuous clock energy condition "
-        f"(E >> pi*hbar/tau): {_verdict(report.continuous_ok)}",
-        f"classical time of flight t_f = {report.classical_time:.17g}",
-        f"clock period 2*pi/omega = {report.clock_period:.17g}",
-        f"max-time check (t_f < period): {_verdict(report.max_time_ok)}",
-        f"degenerate clock (j = 0): {report.degenerate_clock}",
-    ]
-    if report.kick_window is None:
-        lines.append("kick window: undefined (degenerate clock)")
-    else:
-        lo, hi = report.kick_window
-        lines.append(f"kick window = ({lo:.17g}, {hi:.17g})")
-    if report.kick_period is not None:
-        lines += [
-            f"kick period T = {report.kick_period:.17g}",
-            "kick working window (t_f > T > (2j+1)*tau/j): "
-            f"{_verdict(report.kick_in_window)}",
-            "max modular energy scale (hbar*nu_n/T)_max = "
-            f"{report.max_modular_energy:.17g}",
-            "kicked disturbance condition (E >> (hbar*nu_n/T)_max): "
-            f"{_verdict(report.kicked_ok)}",
-        ]
-    return "\n".join(lines) + "\n"
+def _regime_entries(report: RegimeReport) -> list[tuple[str, object]]:
+    """`regime.<field>` and its value for each field of `report` that applies."""
+    return [(f"regime.{k}", v) for k, v in dataclasses.asdict(report).items() if v is not None]
 
 
 def regime_warnings(config: ExperimentConfig, report: RegimeReport) -> list[str]:
@@ -135,42 +105,39 @@ def cmd_run(
         trans = analysis.transmission_report(result.final_state, config.region)
         data_name, wall_time = "tof_density.csv", result.wall_time
         clock_lines = [
-            ("diag.norm_drift", f"{result.norm_drift:.17g}"),
-            ("diag.max_channel_drift", f"{result.max_channel_drift:.17g}"),
-            ("diag.region_mass_final", f"{result.region_mass_final:.17g}"),
-            ("diag.boundary_mass_final", f"{result.boundary_mass_final:.17g}"),
-            ("transmission.left", f"{trans.total_left:.17g}"),
-            ("transmission.inside", f"{trans.total_inside:.17g}"),
-            ("transmission.right", f"{trans.total_right:.17g}"),
+            ("diag.norm_drift", result.norm_drift),
+            ("diag.max_channel_drift", result.max_channel_drift),
+            ("diag.region_mass_final", result.region_mass_final),
+            ("diag.boundary_mass_final", result.boundary_mass_final),
+            ("transmission.left", trans.total_left),
+            ("transmission.inside", trans.total_inside),
+            ("transmission.right", trans.total_right),
         ]
     # made only now, so that a failed run leaves no empty run directory
     out_dir.mkdir(parents=True, exist_ok=True)
     warnings = regime_warnings(config, report)
     for other in set(_TABLES) - {data_name}:  # a reused run directory keeps one table
         (out_dir / other).unlink(missing_ok=True)
-    manifest: list[tuple[str, str]] = [
+    manifest: list[tuple[str, object]] = [
         ("label", label or config.mode),
         ("mode", config.mode),
-        ("theta_points", str(series.times.size - 1)),
-        ("workers", str(workers)),
+        ("theta_points", series.times.size - 1),
+        ("workers", workers),
         ("note.parameters", IMPLEMENTATION_CHOICE_NOTE),
     ]
     digests: dict[str, str] = {}  # SHA-256 of each data file, in manifest order
     digests[data_name] = _write_hashed(out_dir / data_name, _csv_pieces(
         ["t", "density", "cdf"], [series.times, series.density, series.cdf]))
-    manifest.append((f"mass.{data_name}", f"{series.total_mass:.17g}"))
+    manifest.append((f"mass.{data_name}", series.total_mass))
     manifest += clock_lines
 
     digests["config.txt"] = _write_hashed(out_dir / "config.txt", [emit_config(config)])
-    digests["regime.txt"] = _write_hashed(out_dir / "regime.txt", [regime_text(report)])
 
-    for w in warnings:
-        manifest.append(("warning", w))
+    manifest += _regime_entries(report)
+    manifest += [("warning", w) for w in warnings]
     manifest.append(("wall_time_s", f"{wall_time:.6f}"))
     manifest += [(f"file.{name}", digest) for name, digest in digests.items()]
-
-    manifest_text = "".join(f"{k} = {v}\n" for k, v in manifest)
-    (out_dir / "manifest.txt").write_text(manifest_text, encoding="utf-8")
+    (out_dir / "manifest.txt").write_text(key_value_lines(manifest), encoding="utf-8")
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -239,7 +206,7 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
 
 
 def cmd_validate(config: ExperimentConfig) -> None:
-    sys.stdout.write(regime_text(validate_regime(config)))
+    sys.stdout.write(key_value_lines(_regime_entries(validate_regime(config))))
 
 
 def _resolve_config(args) -> ExperimentConfig:

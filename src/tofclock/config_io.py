@@ -9,6 +9,7 @@ import io
 import math
 import types
 import typing
+from collections.abc import Iterable
 
 from .core import ExperimentConfig
 
@@ -98,15 +99,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def key_value_lines(entries: Iterable[tuple[str, object]]) -> str:
+    """One `key = value` line per entry: a float as %.17g, which reads back
+    bit for bit, anything else by str."""
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in entries)
+
+
 def emit_config(config: ExperimentConfig) -> str:
     """Serialize a config so that load_config reproduces it exactly."""
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         source = config if section == "run" else getattr(config, section)
         out.write(f"[{section}]\n")
-        for key in keys:
-            value = getattr(source, key)
-            if value is not None:
-                out.write(f"{key} = {_fmt(value)}\n")
+        out.write(key_value_lines((key, getattr(source, key)) for key in keys
+                                  if getattr(source, key) is not None))
         out.write("\n")
     return out.getvalue()

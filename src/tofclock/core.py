@@ -374,8 +374,7 @@ class ExperimentConfig:
                 f"{NEG_MOMENTUM_MAX:.3e}"
             )
         if self.dt is None:
-            tf = classical_tof(self.region.width, self.packet.p0, self.physical.m)
-            object.__setattr__(self, "dt", min(self.clock.tau, tf) / 200.0)
+            object.__setattr__(self, "dt", min(self.clock.tau, self.classical_time) / 200.0)
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
@@ -398,30 +397,33 @@ class ExperimentConfig:
 
     @property
     def classical_time(self) -> float:
-        return classical_tof(self.region.width, self.packet.p0, self.physical.m)
+        """Classical time to reach x_right from the later of x0 and x_left:
+        the dwell time of an "outside" packet, the arrival time of an "inside" one."""
+        length = self.region.x_right - max(self.packet.x0, self.region.x_left)
+        return classical_tof(length, self.packet.p0, self.physical.m)
 
 
 @dataclass(frozen=True)
 class RegimeReport:
     """Pure report on the validity conditions of the clock configuration.
 
-    Verdicts use `DOMINANCE_FACTOR` wherever a strict inequality stands in
+    Verdicts use `dominance_factor` wherever a strict inequality stands in
     for "much greater than"; the raw ratios are always included so callers
-    can apply their own policy.
+    can apply their own policy.  A field is None where it does not apply.
     """
 
     energy: float
-    resolution_scale: float               # pi*hbar/tau
-    continuous_ok: bool
+    resolution_scale: float          # pi*hbar/tau
+    dominance_factor: float
+    continuous_ok: bool              # E >= dominance_factor * pi*hbar/tau
     classical_time: float
     clock_period: float
-    max_time_ok: bool                # classical tof below 2*pi/omega
+    max_time_ok: bool                # classical time below 2*pi/omega
     degenerate_clock: bool           # j == 0: single mode, measures nothing
-    kick_window: tuple[float, float] | None
-    kick_period: float | None
-    kick_in_window: bool | None
+    min_kick_period: float | None    # (2j+1)*tau/j; the window's top is classical_time
+    kick_in_window: bool | None      # min_kick_period < T < classical_time
     max_modular_energy: float | None  # max over n of the kick residue scale
-    kicked_ok: bool | None
+    kicked_ok: bool | None           # E >= dominance_factor * max_modular_energy
 
 
 def validate_regime(config: ExperimentConfig) -> RegimeReport:
@@ -440,19 +442,15 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
     t_cl = config.classical_time
     period = clock.period
     degenerate = clock.j == 0
-
-    kick_window = None
-    if not degenerate:
-        lower = clock.n_modes * clock.tau / clock.j
-        kick_window = (lower, t_cl)
+    min_kick = None if degenerate else clock.n_modes * clock.tau / clock.j
 
     T = config.kick_period
     kick_in_window = None
     max_mod = None
     kicked_ok = None
     if T is not None:
-        if kick_window is not None:
-            kick_in_window = kick_window[0] < T < kick_window[1]
+        if min_kick is not None:
+            kick_in_window = min_kick < T < t_cl
         energies = phys.hbar * clock.omega * clock.modes
         modulus = 2.0 * math.pi * phys.hbar / T
         residues = energies % modulus
@@ -466,13 +464,13 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
     return RegimeReport(
         energy=energy,
         resolution_scale=resolution_scale,
+        dominance_factor=DOMINANCE_FACTOR,
         continuous_ok=continuous_ok,
         classical_time=t_cl,
         clock_period=period,
         max_time_ok=t_cl < period,
         degenerate_clock=degenerate,
-        kick_window=kick_window,
-        kick_period=T,
+        min_kick_period=min_kick,
         kick_in_window=kick_in_window,
         max_modular_energy=max_mod,
         kicked_ok=kicked_ok,

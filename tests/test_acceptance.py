@@ -324,7 +324,7 @@ def test_criterion_11_determinism(tmp_path):
         cmd_run(load_config(cfg_path), tmp_path / name, workers=workers)
         for name, workers in (("w1a", 1), ("w1b", 1), ("w4", 4))
     ]
-    data_names = ("tof_density.csv", "config.txt", "regime.txt")
+    data_names = ("tof_density.csv", "config.txt")
     base = {n: (runs[0] / n).read_bytes() for n in data_names}
     for run in runs[1:]:
         for n in data_names:

@@ -196,6 +196,18 @@ class TestDistributionSeries:
         with pytest.raises(ValueError):
             DistributionSeries.from_density(t, density)
 
+    @pytest.mark.parametrize("times, density", [
+        (np.linspace(0.0, 1.0, 2), np.ones(5)),
+        (np.linspace(0.0, 1.0, 5), np.ones(2)),
+        (np.empty(0), np.empty(0)),
+        (np.zeros(1), np.ones(1)),
+        (np.zeros((2, 3)), np.ones((2, 3))),
+    ], ids=["short-times", "short-density", "empty", "one-sample", "two-dimensional"])
+    def test_rejects_malformed_samples(self, times, density):
+        # a series needs one time per density value, two of them at least
+        with pytest.raises(ValueError, match="need 1-D times and density of one length >= 2"):
+            DistributionSeries.from_density(times, density)
+
 
 class TestStateTofDistribution:
     def test_times_are_theta_grid_over_omega(self):

@@ -27,7 +27,6 @@ from tofclock.cli import (
     cmd_compare,
     cmd_run,
     main,
-    regime_text,
     regime_warnings,
 )
 from tofclock.config_io import (
@@ -208,19 +207,69 @@ class TestPresets:
         assert get_preset("fig1-continuous") is not get_preset("fig1-continuous")
 
 
-class TestRegimeText:
-    def test_continuous_verdicts(self):
-        cfg = get_preset("fig1-continuous")
-        text = regime_text(validate_regime(cfg))
-        assert "continuous clock energy condition" in text
-        assert "FAIL" in text  # E = 12.5 < pi*hbar/tau
-        assert "max-time check (t_f < period): PASS" in text
+def _validate_lines(capsys, preset: str) -> list[str]:
+    assert main(["validate", "--preset", preset]) == 0
+    return capsys.readouterr().out.splitlines()
 
-    def test_kicked_verdicts(self):
-        cfg = get_preset("fig1-kicked-T1")
-        text = regime_text(validate_regime(cfg))
-        assert "kick working window" in text
-        assert "kick period T = 1" in text
+
+def _regime_values(lines) -> dict[str, object]:
+    """The `regime.*` lines, each value read back: a bool from True or
+    False, a float from anything else."""
+    values = {}
+    for line in lines:
+        key, _, text = line.partition(" = ")
+        if key.startswith("regime."):
+            values[key[7:]] = text == "True" if text in ("True", "False") else float(text)
+    return values
+
+
+def _pool_like(mode, p0, kick_period=None, points=2**9, j=8):
+    """A small run like the benchmark's regime pool: region (-8, 8), clock
+    omega = 0.8 and j = 8, 400 continuous steps; p0 > 8 needs 2^10 points."""
+    t_final = 2.0 * 16.0 / p0 + 2.0
+    reach = p0 * t_final + 12.0
+    return tc.ExperimentConfig(
+        physical=tc.PhysicalConfig(),
+        region=tc.RegionSpec(-8.0, 8.0),
+        clock=tc.ClockSpec(0.8, j),
+        packet=tc.WavepacketSpec(1.0, -14.0, p0),
+        grid=tc.SpatialGrid(-8.0 - reach, 8.0 + reach, points),
+        mode=mode,
+        t_final=t_final,
+        dt=t_final / 400 if mode == "continuous" else None,
+        kick_period=kick_period,
+        region_mass_tol=0.08,
+        boundary_mass_tol=2e-2 if mode == "kicked" else 5e-4,
+    )
+
+
+# (mode, p0, T, points, j): kicks in and out of the window, with and without
+# a negligible disturbance, and a one-mode clock, which has no kick window
+_POOL_LIKE = {
+    "kicked-low": ("kicked", 5.5, 1.5),
+    "kicked-low-short": ("kicked", 6.2, 0.45),
+    "kicked-high": ("kicked", 12.0, 1.2, 2**10),
+    "continuous-low": ("continuous", 6.0),
+    "ideal-high": ("ideal-reference", 12.5, None, 2**10),
+    "degenerate": ("kicked", 5.5, 0.8, 2**9, 0),
+}
+
+
+class TestRegimeText:
+    def test_continuous_verdicts(self, capsys):
+        lines = _validate_lines(capsys, "fig1-continuous")
+        assert "regime.continuous_ok = False" in lines  # E = 12.5 < pi*hbar/tau
+        assert "regime.max_time_ok = True" in lines  # t_f = 10 < period 25
+
+    def test_kicked_verdicts(self, capsys):
+        # T = 1 lies in the window (2j+1)*tau/j = 0.5 < T < t_f = 10
+        lines = _validate_lines(capsys, "fig1-kicked-T1")
+        assert "regime.kick_in_window = True" in lines
+        assert "regime.min_kick_period = 0.49999999999999994" in lines
+        assert "regime.classical_time = 10" in lines
+        # a run without kicks has no kick verdicts
+        assert not any(line.startswith(("regime.kick_in_window", "regime.kicked_ok"))
+                       for line in _validate_lines(capsys, "fig1-continuous"))
 
     def test_warnings(self):
         cfg = get_preset("fig1-continuous")
@@ -238,6 +287,45 @@ class TestRegimeText:
                 ("fig1-kicked-T5", [])):
             cfg = get_preset(name)
             assert regime_warnings(cfg, validate_regime(cfg)) == expected
+
+
+class TestRegimeLines:
+    @pytest.mark.parametrize("preset", [p for p in preset_names() if p.startswith("fig1-")])
+    def test_preset_lines_read_back_bitwise(self, capsys, preset):
+        report = validate_regime(get_preset(preset))
+        fields = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+        values = _regime_values(_validate_lines(capsys, preset))
+        assert list(values) == list(fields)
+        for key, value in fields.items():
+            assert type(values[key]) is type(value), key
+            assert np.float64(values[key]).tobytes() == np.float64(value).tobytes(), key
+
+    @pytest.mark.parametrize("name", _POOL_LIKE)
+    def test_manifest_lines_read_back_bitwise(self, tmp_path, name):
+        # the manifest's regime.* lines, read back, are the report's fields
+        # that apply
+        cfg = _pool_like(*_POOL_LIKE[name])
+        out = cmd_run(cfg, tmp_path / name, workers=1)
+        values = _regime_values((out / "manifest.txt").read_text(encoding="utf-8").splitlines())
+        report = dataclasses.asdict(validate_regime(cfg))
+        assert values == {k: v for k, v in report.items() if v is not None}
+        for key, value in values.items():
+            assert type(value) is type(report[key])
+            assert np.float64(value).tobytes() == np.float64(report[key]).tobytes(), key
+        assert ("min_kick_period" in values) == (cfg.clock.j > 0)
+        assert ("kicked_ok" in values) == (cfg.mode == "kicked")
+
+    @pytest.mark.parametrize("name", _POOL_LIKE)
+    def test_validate_prints_the_manifest_lines(self, tmp_path, capsys, name):
+        cfg = _pool_like(*_POOL_LIKE[name])
+        path = tmp_path / "exp.cfg"
+        path.write_text(emit_config(cfg), encoding="utf-8")
+        out = cmd_run(cfg, tmp_path / name, workers=1)
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path)]) == 0
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines(True)
+        assert capsys.readouterr().out == "".join(
+            line for line in manifest if line.startswith("regime."))
 
 
 def _per_value_csv(header, columns):
@@ -296,9 +384,8 @@ class TestCsvOutput:
 class TestCmdRun:
     def test_outputs(self, tmp_path):
         out = cmd_run(_small_config(), tmp_path / "run", label="small")
-        for name in ("tof_density.csv", "config.txt", "regime.txt",
-                     "manifest.txt"):
-            assert (out / name).exists()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "config.txt", "manifest.txt", "tof_density.csv"]
         data = np.loadtxt(out / "tof_density.csv", delimiter=",", skiprows=1)
         assert data.shape == (1025, 3)
         mass = np.trapezoid(data[:, 1], data[:, 0])
@@ -365,7 +452,7 @@ class TestCmdRun:
         cfg = _small_config()
         a = cmd_run(cfg, tmp_path / "a")
         b = cmd_run(cfg, tmp_path / "b")
-        for name in ("tof_density.csv", "config.txt", "regime.txt"):
+        for name in ("tof_density.csv", "config.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -564,13 +651,13 @@ class TestMain:
 
     def test_validate_preset(self, capsys):
         assert main(["validate", "--preset", "fig1-continuous"]) == 0
-        assert "energy E = 12.5" in capsys.readouterr().out
+        assert "regime.energy = 12.5\n" in capsys.readouterr().out
 
     def test_validate_config_file(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(emit_config(_small_config()), encoding="utf-8")
         assert main(["validate", "--config", str(path)]) == 0
-        assert "kick working window" in capsys.readouterr().out
+        assert "\nregime.kick_in_window = " in capsys.readouterr().out
 
     def test_run_with_config_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -633,7 +720,7 @@ class TestMain:
             fresh = tmp_path / f"fresh_{out}"
             subprocess.run([sys.executable, "-m", "tofclock.cli", *run, str(fresh),
                             *flag], check=True, env=env, capture_output=True)
-            for name in ("tof_density.csv", "config.txt", "regime.txt", "manifest.txt"):
+            for name in ("tof_density.csv", "config.txt", "manifest.txt"):
                 want = _without_wall_time((fresh / name).read_bytes())
                 assert _without_wall_time((tmp_path / out / name).read_bytes()) == want
                 if out == "plain":

@@ -243,6 +243,18 @@ class TestExperimentConfig:
     def test_classical_time(self):
         assert _fig1_config().classical_time == pytest.approx(10.0)
 
+    def test_classical_time_of_inside_packet(self):
+        # a packet starting inside the region reads its arrival at x_right:
+        # 25 from x0 = 0 at p0 = 25 takes 1, not the dwell time 50/25 = 2
+        cfg = _fig1_config(packet=tc.WavepacketSpec(1.0, 0.0, 25.0), t_final=4.0,
+                           grid=tc.SpatialGrid(-250.0, 150.0, 2**12))
+        assert cfg.placement == "inside"
+        assert cfg.classical_time == 1.0
+        assert cfg.dt == min(cfg.clock.tau, 1.0) / 200.0
+        report = validate_regime(dataclasses.replace(cfg, mode="kicked", kick_period=1.5))
+        assert report.classical_time == 1.0
+        assert report.kick_in_window is False  # 1.5 lies past the arrival
+
     def test_kicked_requires_period(self):
         with pytest.raises(ValueError):
             _fig1_config(mode="kicked")
@@ -352,7 +364,9 @@ class TestRegimeReport:
         assert report.energy < report.resolution_scale
         assert not report.continuous_ok
         assert report.max_time_ok  # t_f = 10 < period 25
-        assert report.kick_period is None and report.kicked_ok is None
+        assert report.dominance_factor == DOMINANCE_FACTOR
+        assert report.kick_in_window is None and report.kicked_ok is None
+        assert report.max_modular_energy is None
 
     def test_fig1_high_energy_valid(self):
         # 2^12 points hold p0 + 8 sigma_p = 29 below pi hbar/dx = 32.2
@@ -366,7 +380,7 @@ class TestRegimeReport:
         # lower edge (2j+1)*tau/j = 2*pi/(j*omega); upper edge t_f
         cfg = _fig1_config(mode="kicked", kick_period=1.0)
         report = validate_regime(cfg)
-        lo, hi = report.kick_window
+        lo, hi = report.min_kick_period, report.classical_time
         assert lo == pytest.approx(2.0 * math.pi / (50.0 * cfg.clock.omega), rel=1e-13)
         assert lo == pytest.approx(0.5, rel=1e-13)
         assert hi == pytest.approx(10.0)
@@ -414,7 +428,7 @@ class TestRegimeReport:
     def test_degenerate_clock(self):
         report = validate_regime(_fig1_config(clock=tc.ClockSpec(2.0 * math.pi / 25.0, 0)))
         assert report.degenerate_clock
-        assert report.kick_window is None
+        assert report.min_kick_period is None
 
     def test_report_deterministic(self):
         assert validate_regime(_fig1_config()) == validate_regime(_fig1_config())

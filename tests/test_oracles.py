@@ -170,6 +170,11 @@ class TestIdealDwell:
         dist = oracles.ideal_dwell(self.SPEC, self.REGION, 1.0, times)
         assert dist.density[0] == 0.0
 
+    def test_rejects_fewer_than_two_times(self):
+        for times in ([], [1.0]):
+            with pytest.raises(ValueError, match="of one length >= 2"):
+                oracles.ideal_dwell(self.SPEC, self.REGION, 1.0, times)
+
     def test_rejects_slow_packet(self):
         with pytest.raises(ValueError):
             oracles.ideal_dwell(
@@ -388,8 +393,7 @@ def _dimensionless(report):
     return (report.continuous_ok, report.max_time_ok, report.degenerate_clock,
             report.kick_in_window, report.kicked_ok,
             report.resolution_scale / e, report.clock_period / t,
-            report.kick_window and tuple(bound / t for bound in report.kick_window),
-            report.kick_period and report.kick_period / t,
+            report.min_kick_period and report.min_kick_period / t,
             report.max_modular_energy and report.max_modular_energy / e)
 
 
