@@ -29,9 +29,7 @@ from tofclock.propagators import run_experiment
 def run_preset(name: str, grid: tc.SpatialGrid, dt: float) -> analysis.DistributionSeries:
     cfg = dataclasses.replace(get_preset(name), grid=grid, dt=dt)
     if cfg.mode == "ideal-reference":  # a closed form on the clock's reading grid
-        times = analysis.theta_grid(cfg.clock) / cfg.clock.omega
-        return oracles.ideal_dwell(cfg.packet, cfg.region, cfg.physical.m, times,
-                                   hbar=cfg.physical.hbar)
+        return oracles.ideal_reading(cfg)
     result = run_experiment(cfg)
     print(
         f"  {name}: norm drift {result.norm_drift:.1e}, "

@@ -11,9 +11,6 @@ Usage:  python3 demos/regime_map.py
 
 import dataclasses
 
-import numpy as np
-from scipy.integrate import quad
-
 import tofclock as tc
 from tofclock import analysis, oracles
 from tofclock.analysis import mean_reading
@@ -22,13 +19,7 @@ from tofclock.propagators import run_experiment
 
 
 def ideal_mean(cfg: tc.ExperimentConfig) -> float:
-    d = cfg.region.width
-    sp = cfg.packet.momentum_std()
-    mean, _ = quad(
-        lambda p: (d / p) * oracles.momentum_density(cfg.packet, np.array([p]))[0],
-        cfg.packet.p0 - 8 * sp, cfg.packet.p0 + 8 * sp,
-    )
-    return mean
+    return mean_reading(oracles.ideal_reading(cfg))
 
 
 def measured_mean(cfg: tc.ExperimentConfig) -> float:

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import os
 import sys
 import time
 import warnings
@@ -34,21 +35,13 @@ def _regime_entries(report: RegimeReport) -> list[tuple[str, object]]:
     return [(f"regime.{k}", v) for k, v in dataclasses.asdict(report).items() if v is not None]
 
 
-def regime_warnings(config: ExperimentConfig, report: RegimeReport) -> list[str]:
-    warnings = []
-    if config.mode == "continuous" and not report.continuous_ok:
-        warnings.append(
-            "continuous clock outside its validity regime (E is not >> pi*hbar/tau)"
-        )
-    if report.kick_in_window is False:
-        warnings.append("kick period outside the working window")
-    if report.kicked_ok is False:
-        warnings.append("kicked clock disturbance not negligible (E not >> max kick scale)")
-    if not report.max_time_ok:
-        warnings.append("classical time of flight exceeds the clock period")
-    if report.degenerate_clock:
-        warnings.append("degenerate clock (j = 0) measures nothing")
-    return warnings
+def regime_warnings(report: RegimeReport) -> list[str]:
+    """The `regime.*` lines of `report` whose verdict fails: one that is
+    False, or a degenerate clock (j = 0), which measures nothing."""
+    return key_value_lines(
+        (k, v) for k, v in _regime_entries(report)
+        if (v is True if k == "regime.degenerate_clock" else v is False)
+    ).splitlines()
 
 
 _PIECE_VALUES = 4096  # values a CSV piece formats at once; bounds the text held
@@ -94,10 +87,7 @@ def cmd_run(
     report = validate_regime(config)
     if config.mode == "ideal-reference":
         t0 = time.perf_counter()
-        # the clock runs' grid: state_tof_distribution maps theta to theta/omega
-        times = analysis.theta_grid(config.clock) / config.clock.omega
-        series = oracles.ideal_dwell(config.packet, config.region, config.physical.m,
-                                     times, hbar=config.physical.hbar)
+        series = oracles.ideal_reading(config)
         data_name, clock_lines, wall_time = "ideal_dwell.csv", [], time.perf_counter() - t0
     else:
         result = run_experiment(config, workers=workers)
@@ -115,7 +105,6 @@ def cmd_run(
         ]
     # made only now, so that a failed run leaves no empty run directory
     out_dir.mkdir(parents=True, exist_ok=True)
-    warnings = regime_warnings(config, report)
     for other in set(_TABLES) - {data_name}:  # a reused run directory keeps one table
         (out_dir / other).unlink(missing_ok=True)
     manifest: list[tuple[str, object]] = [
@@ -134,13 +123,12 @@ def cmd_run(
     digests["config.txt"] = _write_hashed(out_dir / "config.txt", [emit_config(config)])
 
     manifest += _regime_entries(report)
-    manifest += [("warning", w) for w in warnings]
     manifest.append(("wall_time_s", f"{wall_time:.6f}"))
     manifest += [(f"file.{name}", digest) for name, digest in digests.items()]
     (out_dir / "manifest.txt").write_text(key_value_lines(manifest), encoding="utf-8")
 
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    for line in regime_warnings(report):
+        print(f"warning: {line}", file=sys.stderr)
     print(f"run complete: {out_dir}")
     return out_dir
 
@@ -172,7 +160,13 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
     if len(run_dirs) < 2:
         raise ValueError("compare needs at least two completed runs")
     run_dirs = [Path(d) for d in run_dirs]
-    names = [d.name for d in run_dirs]  # the runs' labels in both tables
+    # the runs' labels in both tables: the last part of each absolute path,
+    # so "." and ".." read as the directories they name
+    names = [Path(os.path.abspath(d)).name for d in run_dirs]
+    for d, name in zip(run_dirs, names):
+        if set(name) & set(",\r\n"):
+            raise ValueError("compare labels runs by directory name, which must "
+                             f"hold no comma or line break: {str(d)!r}")
     shared = sorted(n for n, k in Counter(names).items() if k > 1)
     if shared:
         raise ValueError("compare labels runs by directory name, which must be "

@@ -415,7 +415,7 @@ class RegimeReport:
     energy: float
     resolution_scale: float          # pi*hbar/tau
     dominance_factor: float
-    continuous_ok: bool              # E >= dominance_factor * pi*hbar/tau
+    continuous_ok: bool | None       # E >= dominance_factor * pi*hbar/tau
     classical_time: float
     clock_period: float
     max_time_ok: bool                # classical time below 2*pi/omega
@@ -438,7 +438,8 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
     clock = config.clock
     energy = config.packet.p0**2 / (2.0 * phys.m)
     resolution_scale = math.pi * phys.hbar / clock.tau
-    continuous_ok = energy >= DOMINANCE_FACTOR * resolution_scale
+    continuous_ok = (energy >= DOMINANCE_FACTOR * resolution_scale
+                     if config.mode == "continuous" else None)
     t_cl = config.classical_time
     period = clock.period
     degenerate = clock.j == 0

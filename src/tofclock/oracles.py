@@ -20,7 +20,7 @@ from .core import (
     WavepacketSpec,
     classical_tof,
 )
-from .analysis import DistributionSeries
+from .analysis import DistributionSeries, theta_grid
 
 
 class EvanescentRegimeError(ValueError):
@@ -216,6 +216,15 @@ def ideal_dwell(
     p_of_t = m * d / times[pos]
     density[pos] = (m * d / times[pos] ** 2) * momentum_density(spec, p_of_t, hbar)
     return DistributionSeries.from_density(times, density)
+
+
+def ideal_reading(config: ExperimentConfig) -> DistributionSeries:
+    """The run's ideal reference: `ideal_dwell` on the clock's reading grid
+    (times theta/omega, as `state_tof_distribution` maps them), so ideal and
+    clock tables line up."""
+    times = theta_grid(config.clock) / config.clock.omega
+    return ideal_dwell(config.packet, config.region, config.physical.m, times,
+                       hbar=config.physical.hbar)
 
 
 # largest (x, theta) grid, num_points * theta_points: fig1-kicked-T1 at 2^13

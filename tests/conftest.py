@@ -40,6 +40,4 @@ def fig1_kicked_series(fig1_kicked_run):
 
 @pytest.fixture(scope="session")
 def fig1_ideal_series():
-    cfg = get_preset("fig1-continuous")
-    times = analysis.theta_grid(cfg.clock, 1024) / cfg.clock.omega
-    return oracles.ideal_dwell(cfg.packet, cfg.region, cfg.physical.m, times)
+    return oracles.ideal_reading(get_preset("fig1-continuous"))

@@ -272,21 +272,20 @@ class TestRegimeText:
                        for line in _validate_lines(capsys, "fig1-continuous"))
 
     def test_warnings(self):
-        cfg = get_preset("fig1-continuous")
-        warnings = regime_warnings(cfg, validate_regime(cfg))
-        assert any("outside its validity regime" in w for w in warnings)
-        fast = get_preset("fig1-high-energy")
-        assert regime_warnings(fast, validate_regime(fast)) == []
+        def warnings(cfg):
+            return regime_warnings(validate_regime(cfg))
+
+        assert warnings(get_preset("fig1-continuous")) == ["regime.continuous_ok = False"]
+        assert warnings(get_preset("fig1-high-energy")) == []
         # T = 20 lies past t_f = 10, and at T = 1 the largest kick residue,
         # 6.03, is not << E = 12.5; T = 5's, 1.005, is
         late = dataclasses.replace(get_preset("fig1-kicked-T1"), kick_period=20.0)
-        assert regime_warnings(late, validate_regime(late)) == [
-            "kick period outside the working window"]
-        for name, expected in (("fig1-kicked-T1", [
-                "kicked clock disturbance not negligible (E not >> max kick scale)"]),
-                ("fig1-kicked-T5", [])):
-            cfg = get_preset(name)
-            assert regime_warnings(cfg, validate_regime(cfg)) == expected
+        assert warnings(late) == ["regime.kick_in_window = False"]
+        assert warnings(get_preset("fig1-kicked-T1")) == ["regime.kicked_ok = False"]
+        assert warnings(get_preset("fig1-kicked-T5")) == []
+        # a one-mode clock measures nothing
+        assert warnings(_pool_like(*_POOL_LIKE["degenerate"])) == [
+            "regime.degenerate_clock = True"]
 
 
 class TestRegimeLines:
@@ -296,6 +295,7 @@ class TestRegimeLines:
         fields = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
         values = _regime_values(_validate_lines(capsys, preset))
         assert list(values) == list(fields)
+        assert ("continuous_ok" in values) == (get_preset(preset).mode == "continuous")
         for key, value in fields.items():
             assert type(values[key]) is type(value), key
             assert np.float64(values[key]).tobytes() == np.float64(value).tobytes(), key
@@ -314,6 +314,18 @@ class TestRegimeLines:
             assert np.float64(value).tobytes() == np.float64(report[key]).tobytes(), key
         assert ("min_kick_period" in values) == (cfg.clock.j > 0)
         assert ("kicked_ok" in values) == (cfg.mode == "kicked")
+        assert ("continuous_ok" in values) == (cfg.mode == "continuous")
+
+    @pytest.mark.parametrize("name", _POOL_LIKE)
+    def test_failing_verdicts_are_the_warnings(self, tmp_path, capsys, name):
+        # stderr warns with each manifest line whose verdict fails, and the
+        # manifest holds no other warning
+        out = cmd_run(_pool_like(*_POOL_LIKE[name]), tmp_path / name, workers=1)
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        failing = [line for line in manifest if line == "regime.degenerate_clock = True" or (
+            line.startswith("regime.") and line.endswith(("_ok = False", "_window = False")))]
+        assert capsys.readouterr().err.splitlines() == [f"warning: {line}" for line in failing]
+        assert not any(line.startswith("warning") for line in manifest)
 
     @pytest.mark.parametrize("name", _POOL_LIKE)
     def test_validate_prints_the_manifest_lines(self, tmp_path, capsys, name):
@@ -407,7 +419,7 @@ class TestCmdRun:
         manifest = dict(
             line.split(" = ", 1)
             for line in (out / "manifest.txt").read_text().splitlines()
-            if " = " in line and not line.startswith("warning")
+            if " = " in line
         )
         for name in ("tof_density.csv", "config.txt"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -615,6 +627,32 @@ class TestCmdCompare:
         err = capsys.readouterr().err
         assert f"error: {bad / 'tof_density.csv'} holds" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cwd, args", [
+        ("a", [".", "../b"]), ("a/inner", ["..", "../../b"]), (".", ["link", "b"]),
+    ], ids=["dot", "dotdot", "symlink"])
+    def test_labels_are_the_directories_names(self, tmp_path, monkeypatch, cwd, args):
+        # "." and ".." label the directories they name; a symlink keeps its own
+        cmd_run(_small_config(), tmp_path / "a")
+        cmd_run(_small_config(kick_period=1.0), tmp_path / "b")
+        (tmp_path / "a" / "inner").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "a")
+        monkeypatch.chdir(tmp_path / cwd)
+        assert main(["compare", *args, "--out", str(tmp_path / "cmp")]) == 0
+        first = "link" if "link" in args else "a"
+        assert (tmp_path / "cmp" / "compare_cdf.csv").read_text().startswith(f"t,{first},b\n")
+        row = (tmp_path / "cmp" / "distances.csv").read_text().splitlines()[1]
+        assert row.startswith(f"{first},b,")
+
+    @pytest.mark.parametrize("name", ["T=1,j=50", "line\nbreak", "carriage\rreturn"])
+    def test_rejects_comma_or_line_break_in_name(self, tmp_path, capsys, name):
+        # either would break both tables' rows
+        good = cmd_run(_small_config(), tmp_path / "good")
+        bad = cmd_run(_small_config(), tmp_path / name)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(good), str(bad), "--out", str(out)]) == 2
+        assert f"line break: {str(bad)!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_repeated_directory_names(self, tmp_path, capsys):

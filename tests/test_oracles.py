@@ -15,6 +15,7 @@ from scipy.special import erfcinv
 import tofclock as tc
 from tofclock import oracles
 from tofclock.core import NEG_MOMENTUM_MAX, validate_regime
+from tofclock.presets import get_preset, preset_names
 from tofclock.propagators import evolve_continuous, evolve_kicked
 from tofclock.analysis import state_tof_distribution, theta_distribution, theta_grid
 from tofclock.oracles import hand_density
@@ -208,6 +209,21 @@ class TestIdealDwell:
         p = np.linspace(-5.0, 15.0, 20001)
         rho = oracles.momentum_density(self.SPEC, p)
         assert np.trapezoid(rho, p) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestIdealReading:
+    @pytest.mark.parametrize("preset", [p for p in preset_names() if p.startswith("fig1-")])
+    def test_fig1_presets_read_the_ideal_table(self, preset):
+        # the ideal depends only on the packet, the region, m, hbar and the
+        # clock: every fig1 preset reads fig1-ideal's table, on its own packet
+        cfg = get_preset(preset)
+        ideal = dataclasses.replace(get_preset("fig1-ideal"), packet=cfg.packet)
+        times = theta_grid(ideal.clock) / ideal.clock.omega
+        want = oracles.ideal_dwell(ideal.packet, ideal.region, ideal.physical.m, times,
+                                   hbar=ideal.physical.hbar)
+        got = oracles.ideal_reading(cfg)
+        for name in ("times", "density", "cdf"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _small_config(mode, **overrides):
