@@ -8,35 +8,27 @@ the working window removes most of the distortion: the reading
 distribution collapses onto a staircase at multiples of T that tracks the
 ideal dwell-time reference.
 
-Writes one CSV per curve (t, density, cdf) and prints the sup-CDF distance
-of each clock protocol from the ideal reference.
+Runs each preset at the demo's grid and step as `tofclock run` does, into
+one run directory each under --out, and compares them as `tofclock
+compare` does, into --out/compare.  Prints the sup-CDF and L1 distance of
+each clock run from the ideal dwell-time reference, the first run.
 
 Usage:  python3 demos/continuous_vs_kicked.py [--out DIR] [--fast]
 """
 
 import argparse
+import csv
 import dataclasses
 from pathlib import Path
 
 import numpy as np
 
 import tofclock as tc
-from tofclock import analysis, oracles
+from tofclock import cli
 from tofclock.presets import get_preset
-from tofclock.propagators import run_experiment
 
-
-def run_preset(name: str, grid: tc.SpatialGrid, dt: float) -> analysis.DistributionSeries:
-    cfg = dataclasses.replace(get_preset(name), grid=grid, dt=dt)
-    if cfg.mode == "ideal-reference":  # a closed form on the clock's reading grid
-        return oracles.ideal_reading(cfg)
-    result = run_experiment(cfg)
-    print(
-        f"  {name}: norm drift {result.norm_drift:.1e}, "
-        f"residual region mass {result.region_mass_final:.1e}, "
-        f"wall time {result.wall_time:.1f}s"
-    )
-    return analysis.state_tof_distribution(result.final_state)
+PRESETS = ("fig1-ideal", "fig1-continuous",
+           "fig1-kicked-T0.5", "fig1-kicked-T1", "fig1-kicked-T2")
 
 
 def main() -> None:
@@ -47,41 +39,27 @@ def main() -> None:
         help="coarser grid and step (roughly 4x faster, ~1%% level accuracy)",
     )
     args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
 
     grid = tc.SpatialGrid(-250.0, 150.0, 2**11 if args.fast else 2**12)
     dt = 0.02 if args.fast else 0.01
-
-    print("running experiments...")
-    ideal = run_preset("fig1-ideal", grid, dt)
-    continuous = run_preset("fig1-continuous", grid, dt)
-    kicked = {
-        T: run_preset(f"fig1-kicked-T{T:g}", grid, dt) for T in (0.5, 1.0, 2.0)
-    }
+    runs = [cli.cmd_run(dataclasses.replace(get_preset(name), grid=grid, dt=dt),
+                        args.out / name, label=name) for name in PRESETS]
+    compare = cli.cmd_compare(runs, args.out / "compare")
 
     print("\nsup-CDF distance from the ideal dwell-time reference:")
-    rows = [("continuous", continuous)] + [
-        (f"kicked T={T:g}", s) for T, s in kicked.items()
-    ]
-    for label, series in rows:
-        sup_cdf, l1 = analysis.distribution_distance(series, ideal)
-        print(f"  {label:<14s} sup|dCDF| = {sup_cdf:.3f}   L1 = {l1:.3f}")
+    with open(compare / "distances.csv", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            if row["a"] == PRESETS[0]:
+                print(f"  {row['b']:<17s} sup|dCDF| = {float(row['sup_cdf']):.3f}"
+                      f"   L1 = {float(row['l1_density']):.3f}")
 
     tau = get_preset("fig1-continuous").clock.tau
-    t, p = kicked[1.0].times, kicked[1.0].density
+    t, p, cdf = np.loadtxt(args.out / "fig1-kicked-T1" / "tof_density.csv",
+                           delimiter=",", skiprows=1, unpack=True)
     near_grid = np.abs(t - np.round(t)) <= 2.0 * tau
-    frac = np.trapezoid(p * near_grid, t) / kicked[1.0].total_mass
-    print(f"\nkicked T=1 staircase: {frac:.1%} of the mass lies within "
+    frac = np.trapezoid(p * near_grid, t) / cdf[-1]
+    print(f"\nfig1-kicked-T1 staircase: {frac:.1%} of the mass lies within "
           f"2*tau of integer readings")
-
-    for label, series in [("ideal", ideal)] + rows:
-        name = label.replace(" ", "_").replace("=", "") + ".csv"
-        np.savetxt(
-            args.out / name,
-            np.column_stack([series.times, series.density, series.cdf]),
-            delimiter=",", header="t,density,cdf", comments="",
-        )
-    print(f"\ncurves written to {args.out}/")
 
 
 if __name__ == "__main__":

@@ -351,6 +351,10 @@ class ExperimentConfig:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.region.x_left < self.grid.x_min or self.region.x_right > self.grid.x_max:
             raise ValueError("coupling region must lie inside the spatial grid")
+        cols = self.grid.region_slice(self.region)
+        if cols.start == cols.stop:  # the clock would never couple
+            raise ValueError(f"coupling region ({self.region.x_left}, {self.region.x_right}) "
+                             f"holds no grid point: dx={self.grid.dx:.6g}")
         if self.mode == "kicked":
             if self.kick_period is None:
                 raise ValueError("kicked mode requires kick_period")

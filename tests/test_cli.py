@@ -816,7 +816,9 @@ class TestMain:
          "kick_period is for mode 'kicked' only, not 'continuous'"),
         ("fig1-kicked-T5", dict(num_points="2048", boundary_mass_tol="-1"),
          "boundary_mass_tol must be >= 0, got -1.0"),
-    ], ids=["ideal-kick-period", "continuous-kicks", "negative-tol"])
+        ("fig1-kicked-T1", dict(num_points="2048", x_left="0.01", x_right="0.02"),
+         "coupling region (0.01, 0.02) holds no grid point: dx=0.195312"),
+    ], ids=["ideal-kick-period", "continuous-kicks", "negative-tol", "empty-region"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, monkeypatch,
                                                preset, edits, message):
         path = tmp_path / "exp.cfg"

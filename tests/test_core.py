@@ -303,6 +303,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _fig1_config(region=tc.RegionSpec(-25.0, 200.0))
 
+    def test_rejects_region_without_grid_point(self):
+        # at dx = 0.195 no grid point lies in (0.01, 0.02): a clock coupled
+        # there would never couple, and its readings would all be zero
+        kicked = dict(mode="kicked", kick_period=1.0)
+        with pytest.raises(ValueError, match=r"^coupling region \(0\.01, 0\.02\) "
+                           r"holds no grid point: dx=0\.195312$"):
+            _fig1_config(region=tc.RegionSpec(0.01, 0.02), **kicked)
+        # one point, x = 0, is enough
+        cfg = _fig1_config(region=tc.RegionSpec(0.0, 0.1), **kicked)
+        assert cfg.grid.region_slice(cfg.region) == slice(1280, 1281)
+
     def test_rejects_packet_inside_region_for_outside_placement(self):
         # left of the region (-25, 25) the clock reads dwell times; a start
         # exactly at its left edge or right of it is not an outside start
