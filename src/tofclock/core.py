@@ -349,6 +349,8 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if self.clock.j == 0:  # channel n couples as n*hbar*omega: n = 0 never does
+            raise ValueError("a one-mode clock (j = 0) never couples: need j >= 1")
         if self.region.x_left < self.grid.x_min or self.region.x_right > self.grid.x_max:
             raise ValueError("coupling region must lie inside the spatial grid")
         cols = self.grid.region_slice(self.region)
@@ -423,8 +425,7 @@ class RegimeReport:
     classical_time: float
     clock_period: float
     max_time_ok: bool                # classical time below 2*pi/omega
-    degenerate_clock: bool           # j == 0: single mode, measures nothing
-    min_kick_period: float | None    # (2j+1)*tau/j; the window's top is classical_time
+    min_kick_period: float           # (2j+1)*tau/j; the window's top is classical_time
     kick_in_window: bool | None      # min_kick_period < T < classical_time
     max_modular_energy: float | None  # max over n of the kick residue scale
     kicked_ok: bool | None           # E >= dominance_factor * max_modular_energy
@@ -446,25 +447,24 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
                      if config.mode == "continuous" else None)
     t_cl = config.classical_time
     period = clock.period
-    degenerate = clock.j == 0
-    min_kick = None if degenerate else clock.n_modes * clock.tau / clock.j
+    min_kick = clock.n_modes * clock.tau / clock.j
 
     T = config.kick_period
     kick_in_window = None
     max_mod = None
     kicked_ok = None
     if T is not None:
-        if min_kick is not None:
-            kick_in_window = min_kick < T < t_cl
+        kick_in_window = min_kick < T < t_cl
         energies = phys.hbar * clock.omega * clock.modes
         modulus = 2.0 * math.pi * phys.hbar / T
         residues = energies % modulus
         # a mode a whole number of turns round has residue 0, but roundings in
         # omega, T, the energies and the modulus (2 eps relative each) can leave
-        # it up to 4 eps (|energy| + modulus) below the modulus (fig1: 0.64 eps)
-        residues[modulus - residues <= 4 * _EPS * (np.abs(energies) + modulus)] = 0
+        # it up to 4 eps (|energy| + modulus) above 0 or below the modulus
+        slack = 4 * _EPS * (np.abs(energies) + modulus)
+        residues[(residues <= slack) | (modulus - residues <= slack)] = 0
         max_mod = float(residues.max())
-        kicked_ok = energy >= DOMINANCE_FACTOR * max_mod if max_mod > 0 else True
+        kicked_ok = energy >= DOMINANCE_FACTOR * max_mod
 
     return RegimeReport(
         energy=energy,
@@ -474,7 +474,6 @@ def validate_regime(config: ExperimentConfig) -> RegimeReport:
         classical_time=t_cl,
         clock_period=period,
         max_time_ok=t_cl < period,
-        degenerate_clock=degenerate,
         min_kick_period=min_kick,
         kick_in_window=kick_in_window,
         max_modular_energy=max_mod,

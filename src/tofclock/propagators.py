@@ -346,20 +346,22 @@ def _evolve(
     workers: int | None,
 ) -> RunResult:
     """Runs `segments` on the tick stack as far as `_run_ticks` goes, from a
-    product state (one row, equal weights) of a kicked clock of more than one
-    mode; the channel loop continues the run on one row per channel, expanded
-    once, on the same pool.  A one-mode clock has one channel, which no stack
-    undercuts.  The pool may have a thread for every worker but the calling
+    product state (one row, equal weights) of a kicked clock; the channel
+    loop continues the run on one row per channel, expanded once, on the
+    same pool.  The pool may have a thread for every worker but the calling
     one; threads start only as blocks are handed to it, so a state too small
     to split starts none."""
     workers = resolve_workers(workers)
     t0 = _time.perf_counter()
     state = initial_state if initial_state is not None else _initial_state(config)
+    if (state.clock, state.grid) != (config.clock, config.grid):
+        raise ValueError(f"initial state of {state.clock} on {state.grid}, but the config "
+                         f"has {config.clock} on {config.grid}")
     init_norms = state.channel_norms()
     w = state.weights
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         diagnostics, ran = [], 0
-        if (config.mode == "kicked" and state.clock.n_modes > 1 and w is not None
+        if (config.mode == "kicked" and w is not None
                 and w.shape[1] == 1 and (w == w[0, 0]).all()):
             state, diagnostics, ran = _run_ticks(config, state, segments, workers, pool)
         if ran < len(segments):

@@ -151,7 +151,7 @@ def _configs(draw, mode, placement):
     return tc.ExperimentConfig(
         physical=physical,
         region=region,
-        clock=tc.ClockSpec(draw(f(0.01, 10.0)), draw(st.integers(0, 60))),
+        clock=tc.ClockSpec(draw(f(0.01, 10.0)), draw(st.integers(1, 60))),
         packet=packet,
         grid=tc.SpatialGrid(x_min, x_max, 2 ** draw(st.integers(fit + 1, fit + 3))),
         mode=mode,
@@ -223,7 +223,7 @@ def _regime_values(lines) -> dict[str, object]:
     return values
 
 
-def _pool_like(mode, p0, kick_period=None, points=2**9, j=8):
+def _pool_like(mode, p0, kick_period=None, points=2**9):
     """A small run like the benchmark's regime pool: region (-8, 8), clock
     omega = 0.8 and j = 8, 400 continuous steps; p0 > 8 needs 2^10 points."""
     t_final = 2.0 * 16.0 / p0 + 2.0
@@ -231,7 +231,7 @@ def _pool_like(mode, p0, kick_period=None, points=2**9, j=8):
     return tc.ExperimentConfig(
         physical=tc.PhysicalConfig(),
         region=tc.RegionSpec(-8.0, 8.0),
-        clock=tc.ClockSpec(0.8, j),
+        clock=tc.ClockSpec(0.8, 8),
         packet=tc.WavepacketSpec(1.0, -14.0, p0),
         grid=tc.SpatialGrid(-8.0 - reach, 8.0 + reach, points),
         mode=mode,
@@ -243,15 +243,14 @@ def _pool_like(mode, p0, kick_period=None, points=2**9, j=8):
     )
 
 
-# (mode, p0, T, points, j): kicks in and out of the window, with and without
-# a negligible disturbance, and a one-mode clock, which has no kick window
+# (mode, p0, T, points): kicks in and out of the window, with and without
+# a negligible disturbance
 _POOL_LIKE = {
     "kicked-low": ("kicked", 5.5, 1.5),
     "kicked-low-short": ("kicked", 6.2, 0.45),
     "kicked-high": ("kicked", 12.0, 1.2, 2**10),
     "continuous-low": ("continuous", 6.0),
     "ideal-high": ("ideal-reference", 12.5, None, 2**10),
-    "degenerate": ("kicked", 5.5, 0.8, 2**9, 0),
 }
 
 
@@ -283,9 +282,6 @@ class TestRegimeText:
         assert warnings(late) == ["regime.kick_in_window = False"]
         assert warnings(get_preset("fig1-kicked-T1")) == ["regime.kicked_ok = False"]
         assert warnings(get_preset("fig1-kicked-T5")) == []
-        # a one-mode clock measures nothing
-        assert warnings(_pool_like(*_POOL_LIKE["degenerate"])) == [
-            "regime.degenerate_clock = True"]
 
 
 class TestRegimeLines:
@@ -312,7 +308,7 @@ class TestRegimeLines:
         for key, value in values.items():
             assert type(value) is type(report[key])
             assert np.float64(value).tobytes() == np.float64(report[key]).tobytes(), key
-        assert ("min_kick_period" in values) == (cfg.clock.j > 0)
+        assert "min_kick_period" in values
         assert ("kicked_ok" in values) == (cfg.mode == "kicked")
         assert ("continuous_ok" in values) == (cfg.mode == "continuous")
 
@@ -322,8 +318,8 @@ class TestRegimeLines:
         # manifest holds no other warning
         out = cmd_run(_pool_like(*_POOL_LIKE[name]), tmp_path / name, workers=1)
         manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
-        failing = [line for line in manifest if line == "regime.degenerate_clock = True" or (
-            line.startswith("regime.") and line.endswith(("_ok = False", "_window = False")))]
+        failing = [line for line in manifest if line.startswith("regime.")
+                   and line.endswith(("_ok = False", "_window = False"))]
         assert capsys.readouterr().err.splitlines() == [f"warning: {line}" for line in failing]
         assert not any(line.startswith("warning") for line in manifest)
 
@@ -818,7 +814,9 @@ class TestMain:
          "boundary_mass_tol must be >= 0, got -1.0"),
         ("fig1-kicked-T1", dict(num_points="2048", x_left="0.01", x_right="0.02"),
          "coupling region (0.01, 0.02) holds no grid point: dx=0.195312"),
-    ], ids=["ideal-kick-period", "continuous-kicks", "negative-tol", "empty-region"])
+        ("fig1-kicked-T1", dict(j="0"), "a one-mode clock (j = 0) never couples: need j >= 1"),
+    ], ids=["ideal-kick-period", "continuous-kicks", "negative-tol", "empty-region",
+            "one-mode"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, monkeypatch,
                                                preset, edits, message):
         path = tmp_path / "exp.cfg"

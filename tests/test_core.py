@@ -413,8 +413,9 @@ class TestRegimeReport:
             (2.0 * math.pi / 25.0, 50, 1.0, 2.0 * math.pi * 24 / 25),
             (2.0 * math.pi / 25.0, 50, 2.0, 2.0 * math.pi * 12 / 25),
             (2.0 * math.pi / 25.0, 50, 5.0, 2.0 * math.pi * 4 / 25),
-            # a one-mode clock's mode is n = 0
-            (1.0, 0, 1.0, 0.0),
+            # T = 25 turns every mode a whole number of times: rounding leaves
+            # residues just above 0 as well as just below 2 pi/T
+            (2.0 * math.pi / 25.0, 50, 25.0, 0.0),
             # [DERIVED] residue period 2*pi/T = 2, so the residue is n mod 2
             (1.0, 5, math.pi, 1.0),
             # negative n wrap up: n = -1 gives 2 - 0.1, n = 1 only 0.1
@@ -426,20 +427,23 @@ class TestRegimeReport:
             report = validate_regime(cfg)
             residue_period = 2.0 * math.pi / T
             assert 0.0 <= report.max_modular_energy < residue_period
-            if expected is not None:
-                assert report.max_modular_energy == pytest.approx(expected, rel=1e-12)
+            if expected is not None:  # abs=0: a residue of 0 is exactly 0
+                assert report.max_modular_energy == pytest.approx(expected, rel=1e-12, abs=0)
             # the residue of some omega*n: they differ by a multiple of 2*pi/T
             diff = (omega * cfg.clock.modes - report.max_modular_energy) / residue_period
             assert np.min(np.abs(diff - np.round(diff))) < 1e-9
             assert report.kicked_ok == (
-                report.max_modular_energy == 0
-                or report.energy >= DOMINANCE_FACTOR * report.max_modular_energy
-            )
+                report.energy >= DOMINANCE_FACTOR * report.max_modular_energy)
 
     def test_degenerate_clock(self):
-        report = validate_regime(_fig1_config(clock=tc.ClockSpec(2.0 * math.pi / 25.0, 0)))
-        assert report.degenerate_clock
-        assert report.min_kick_period is None
+        # a one-mode clock (j = 0) has the one channel n = 0, which never
+        # couples: no config of it builds, so no report is made of it
+        clock = tc.ClockSpec(2.0 * math.pi / 25.0, 0)
+        for kick_period, mode in [(None, "continuous"), (1.0, "kicked"),
+                                  (None, "ideal-reference")]:
+            with pytest.raises(ValueError, match=r"^a one-mode clock \(j = 0\) never "
+                               r"couples: need j >= 1$"):
+                _fig1_config(clock=clock, mode=mode, kick_period=kick_period)
 
     def test_report_deterministic(self):
         assert validate_regime(_fig1_config()) == validate_regime(_fig1_config())

@@ -406,10 +406,8 @@ def _dimensionless(report):
     """A regime report's verdicts, and its scales as ratios to the packet's
     energy and classical time."""
     e, t = report.energy, report.classical_time
-    return (report.continuous_ok, report.max_time_ok, report.degenerate_clock,
-            report.kick_in_window, report.kicked_ok,
-            report.resolution_scale / e, report.clock_period / t,
-            report.min_kick_period and report.min_kick_period / t,
+    return (report.continuous_ok, report.max_time_ok, report.kick_in_window, report.kicked_ok,
+            report.resolution_scale / e, report.clock_period / t, report.min_kick_period / t,
             report.max_modular_energy and report.max_modular_energy / e)
 
 

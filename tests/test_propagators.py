@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tofclock as tc
 from tofclock import analysis, oracles, propagators
@@ -359,6 +360,25 @@ class TestScheduleLoop:
             engine(cfg)
 
     @pytest.mark.parametrize("engine, overrides", [
+        (evolve_continuous, dict(dt=0.01)),
+        (evolve_kicked, dict(mode="kicked", kick_period=0.5)),
+    ], ids=["continuous", "kicked"])
+    def test_engine_takes_only_its_configs_clock_and_grid(self, engine, overrides):
+        # a state of another omega ran with the config's coupling (its mean
+        # reading was 2.931 against 1.832), and one of another j or grid
+        # failed with an error that named neither
+        cfg = _config(clock=tc.ClockSpec(0.8, 4), region=tc.RegionSpec(-5.0, 5.0),
+                      t_final=4.0, **overrides)
+        wider = tc.SpatialGrid(-40.0, 40.0, 2**10)
+        for clock, grid in [(tc.ClockSpec(0.5, 4), cfg.grid),
+                            (tc.ClockSpec(0.8, 3), cfg.grid), (cfg.clock, wider)]:
+            state = tc.product_state(tc.init_gaussian(cfg.packet, grid), clock, grid)
+            message = (f"initial state of {clock} on {grid}, "
+                       f"but the config has {cfg.clock} on {cfg.grid}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                engine(cfg, initial_state=state, workers=1)
+
+    @pytest.mark.parametrize("engine, overrides", [
         (evolve_continuous, {}),
         (evolve_kicked, dict(mode="kicked", kick_period=0.7)),
         (evolve_kicked, dict(mode="kicked", kick_period=_commensurate_period(0.8, 1, 9))),
@@ -633,19 +653,9 @@ def _random_tick_runs(draw):
     return cfg, commensurate
 
 
-def _one_mode_run():
-    """A kicked product-state config of a one-mode (j = 0) clock, whose 7
-    kicks would outgrow its one channel, as (config, commensurate) like
-    `_random_tick_runs`."""
-    cfg = _config(clock=tc.ClockSpec(0.8, 0), grid=tc.SpatialGrid(-40.0, 40.0, 2**8),
-                  mode="kicked", t_final=3.0, kick_period=0.4)
-    return cfg, False
-
-
 class TestKickClasses:
     """Which rows a kicked run propagates: the tick stack of a product
-    state of a clock of more than one mode, up to 2j+1 rows, and one row per
-    channel otherwise."""
+    state, up to 2j+1 rows, and one row per channel otherwise."""
 
     # the rows of each run's stack, one per kick count, and its row-flights.
     # T0.1 and T0.2 reach 101 live rows at t=10 and t=20 and fly the rest on
@@ -707,17 +717,13 @@ class TestKickClasses:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_random_tick_runs())
-    @example(_one_mode_run())
     def test_random_configs_diagnostics_match_channel_path(self, run):
         # a commensurate run kicks past one clock period, where readings a
         # whole period apart coincide; the clock marginal is the theta-grid
         # oracle's all the same
         cfg, commensurate = run
         loops = [leg[0] for leg in _path(cfg)]
-        if cfg.clock.j == 0:  # one channel, which no stack undercuts
-            assert loops == ["channels"]
-        else:
-            assert loops in (["ticks"], ["ticks", "channels"])
+        assert loops in (["ticks"], ["ticks", "channels"])
         if commensurate:
             assert cfg.kick_schedule.n_kicks * cfg.kick_period > cfg.clock.period
         ticks = run_experiment(cfg)
