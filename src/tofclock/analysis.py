@@ -148,15 +148,19 @@ def same_grid(a: DistributionSeries, b: DistributionSeries) -> bool:
     )
 
 
-def distribution_distance(
-    a: DistributionSeries, b: DistributionSeries
-) -> tuple[float, float]:
+def stack_distance(a: DistributionSeries, cdfs, densities) -> tuple[np.ndarray, np.ndarray]:
+    """Sup |C_a - C_b| and L1 density distance of `a` to each partner b whose
+    cdf and density are last-axis rows of `cdfs` and `densities` on a's grid."""
+    return (np.abs(cdfs - a.cdf).max(axis=-1),
+            np.trapezoid(np.abs(densities - a.density), a.times, axis=-1))
+
+
+def distribution_distance(a: DistributionSeries, b: DistributionSeries) -> tuple[float, float]:
     """Kolmogorov-Smirnov-style sup |C_a - C_b| and L1 density distance."""
     if not same_grid(a, b):
         raise ValueError("distribution_distance requires identical time grids")
-    sup_cdf = float(np.max(np.abs(a.cdf - b.cdf)))
-    l1 = float(np.trapezoid(np.abs(a.density - b.density), a.times))
-    return sup_cdf, l1
+    sup_cdf, l1 = stack_distance(a, b.cdf, b.density)
+    return float(sup_cdf), float(l1)
 
 
 @dataclass

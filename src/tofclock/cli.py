@@ -75,6 +75,8 @@ def cmd_run(
     workers: int | None = None,
     label: str = "",
 ) -> Path:
+    if set(label) & set("\r\n"):  # it would forge manifest lines
+        raise ValueError(f"a run label must hold no line break: {label!r}")
     workers = resolve_workers(workers)
     out_dir = Path(out_dir)
     # a file in the way fails now, not after the propagation
@@ -130,9 +132,6 @@ def cmd_run(
     return out_dir
 
 
-_PARTNER_BLOCK = 16  # later runs per compare kernel call; bounds its temporaries
-
-
 def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
     for name in _TABLES:
         path = run_dir / name
@@ -144,11 +143,12 @@ def _load_run_series(run_dir: Path) -> analysis.DistributionSeries:
                 except ValueError as exc:  # a value or a row it cannot read
                     raise ValueError(f"{path} holds no table of numbers: {exc}") from None
             if data.shape[0] < 2 or data.shape[1] != 3:
-                raise ValueError(f"{path} holds {data.shape[0]} rows of "
-                                 f"{data.shape[1]} columns; need t,density,cdf "
-                                 "on at least two rows")
+                raise ValueError(f"{path} holds {data.shape[0]} rows of {data.shape[1]} "
+                                 "columns; need t,density,cdf on at least two rows")
             if not np.isfinite(data).all():
                 raise ValueError(f"{path} holds a value that is not finite")
+            if not (np.diff(data[:, 0]) > 0).all():
+                raise ValueError(f"{path} holds a t column that does not increase")
             return analysis.DistributionSeries(data[:, 0], data[:, 1], data[:, 2])
     raise FileNotFoundError(f"no distribution data in {run_dir}")
 
@@ -169,29 +169,25 @@ def cmd_compare(run_dirs: list[Path], out_dir: Path) -> Path:
         raise ValueError("compare labels runs by directory name, which must be "
                          f"unique; repeated: {', '.join(shared)}")
     series = [_load_run_series(d) for d in run_dirs]
-    base = series[0].times
     for name, s in zip(names[1:], series[1:]):
         if not analysis.same_grid(series[0], s):
             raise ValueError(f"time grid of {name} does not match {names[0]}")
+    times = series[0].times
+    cdfs = np.array([s.cdf for s in series])
+    densities = np.array([s.density for s in series])
+    del series  # the stacks hold every value both tables need
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_hashed(out_dir / "compare_cdf.csv",
-                  _csv_pieces(["t"] + names, [base] + [s.cdf for s in series]))
+    _write_hashed(out_dir / "compare_cdf.csv", _csv_pieces(["t"] + names, [times, *cdfs]))
 
-    # `analysis.distribution_distance` of run i against a block of later runs
-    # per kernel call (grids checked above): the same sums, so the same bytes
     with open(out_dir / "distances.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("a,b,sup_cdf,l1_density\n")
-        for i, a in enumerate(series):
-            for lo in range(i + 1, len(series), _PARTNER_BLOCK):
-                block = series[lo:lo + _PARTNER_BLOCK]
-                sup_cdf = np.abs(np.array([b.cdf for b in block]) - a.cdf).max(axis=1)
-                l1 = np.trapezoid(np.abs(np.array([b.density for b in block])
-                                         - a.density), a.times, axis=1)
-                fh.writelines(f"{names[i]},{b},{sup:.17g},{dist:.17g}\n"
-                              for b, sup, dist in zip(names[lo:lo + _PARTNER_BLOCK],
-                                                      sup_cdf.tolist(), l1.tolist()))
+        for i, name in enumerate(names[:-1]):
+            a = analysis.DistributionSeries(times, densities[i], cdfs[i])
+            sup_cdf, l1 = analysis.stack_distance(a, cdfs[i + 1:], densities[i + 1:])
+            fh.writelines(f"{name},{b},{sup:.17g},{dist:.17g}\n"
+                          for b, sup, dist in zip(names[i + 1:], sup_cdf.tolist(), l1.tolist()))
     print(f"comparison written: {out_dir}")
     return out_dir
 

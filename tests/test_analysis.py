@@ -283,6 +283,20 @@ class TestDistributionDistance:
         assert sup_cdf == pytest.approx(1.0, abs=1e-6)
         assert l1 == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("partners", [1, 17, 40])
+    def test_stack_equals_pairwise_calls(self, partners):
+        # one kernel serves both: a stack of partner rows reads, bit for bit,
+        # what distribution_distance reads one partner at a time
+        t = np.linspace(0.0, 7.5, 1025)
+        rng = np.random.default_rng(partners)
+        a, *rest = (DistributionSeries.from_density(t, rng.random(t.size))
+                    for _ in range(partners + 1))
+        sup_cdf, l1 = analysis.stack_distance(a, np.array([b.cdf for b in rest]),
+                                              np.array([b.density for b in rest]))
+        assert sup_cdf.shape == l1.shape == (partners,)
+        pairwise = [distribution_distance(a, b) for b in rest]
+        assert list(zip(sup_cdf.tolist(), l1.tolist())) == pairwise
+
     def test_rejects_mismatched_grids(self):
         t1 = np.linspace(0.0, 1.0, 11)
         t2 = np.linspace(0.0, 2.0, 11)

@@ -604,8 +604,9 @@ class TestCmdCompare:
         (-1, 0, "inf"),
         (2, 1, "abc"),
         "t,density,cdf\n0,0.5,0\n1,0.5\n",
+        "t,density,cdf\n1,0.5,0\n0.5,0.5,0.25\n0,0.5,0.5\n",
     ], ids=["header-only", "one-row", "two-columns", "four-columns", "nan-density", "inf-t",
-            "text-density", "ragged-row"])
+            "text-density", "ragged-row", "decreasing-t"])
     def test_rejects_malformed_table(self, tmp_path, capsys, table):
         good = cmd_run(_small_config(), tmp_path / "good")
         bad = tmp_path / "bad"
@@ -699,6 +700,24 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("stem", ["x\nfile.config.txt = 0", "x\rfile.config.txt = 0"],
+                             ids=["LF", "CR"])
+    def test_label_with_a_line_break_exits_two(self, tmp_path, capsys, monkeypatch, stem):
+        # the label is the config file's stem, written as the manifest's
+        # label line: a line break in it would forge a file.* digest line
+        path = tmp_path / f"{stem}.cfg"
+        path.write_text(emit_config(_small_config()), encoding="utf-8")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated a run whose label breaks a line")
+
+        monkeypatch.setattr("tofclock.cli.run_experiment", no_run)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a run label must hold no line break: {stem!r}\n")
+        assert not out.exists()
 
     def test_failed_propagation_exits_one(self, tmp_path, capsys):
         # boundary mass reaches ~2e-6 at t = 2.5 on this config
